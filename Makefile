@@ -122,15 +122,10 @@ worker-smoke:
 vet:
 	$(GO) vet ./...
 
-# The project's own determinism/correctness analyzers (see internal/lint).
-# Run through `go vet -vettool` so the build cache skips unchanged packages
-# and cross-package facts flow through vetx files exactly as in CI. The
-# standalone driver remains available as `go run ./cmd/anvillint ./...`.
-ANVILLINT := bin/anvillint
-
+# The project's own determinism/correctness analyzers (see internal/lint),
+# the same run as CI's lint job.
 lint:
-	$(GO) build -o $(ANVILLINT) ./cmd/anvillint
-	$(GO) vet -vettool=$(abspath $(ANVILLINT)) ./...
+	$(GO) run ./cmd/anvillint ./...
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

@@ -2,27 +2,26 @@
 // determinism and correctness invariants. It bundles the analyzers from
 // internal/lint:
 //
-//	detrand   — no math/rand, crypto/rand or wall-clock time in simulation code
-//	maporder  — no order-dependent bodies under map iteration
-//	randshare — no *sim.Rand shared across component constructors
-//	tickconv  — no narrowing conversions of sim.Cycles counters
-//	wallclock — no host-clock reads reachable from deterministic-zone code
-//	seedflow  — every zone sim.Rand seeded from Spec/ReplicateSeed state
 //	errpanic  — no panic/log.Fatal reachable from exported zone APIs
 //	jsondet   — no map/interface fields in JSON marshalled from zone code
+//	maporder  — no order-dependent bodies under map iteration
+//	randshare — no *sim.Rand shared across component constructors
+//	seedflow  — zone sim.Rand seeds derive from Spec state; no ambient RNG imports
+//	tickconv  — no narrowing conversions of sim.Cycles counters
+//	wallclock — no host-clock reads reachable from deterministic-zone code
 //
-// The last four propagate facts across package boundaries; packages opt in
-// via "//lint:zone deterministic" directives or the built-in zone map for
+// errpanic, jsondet, seedflow and wallclock propagate facts across package
+// boundaries through one in-memory store; packages opt in via
+// "//lint:zone deterministic" directives or the built-in zone map for
 // internal/{machine,cache,dram,...} (see internal/lint/zone.go).
 //
-// Standalone use:
+// Usage:
 //
 //	go run ./cmd/anvillint ./...
-//	go run ./cmd/anvillint -disable tickconv ./internal/dram
+//	go run ./cmd/anvillint -json ./internal/dram
 //
-// It also speaks the go vet driver protocol, so once built it can run as
-//
-//	go vet -vettool=$(pwd)/anvillint ./...
+// Patterns are resolved within the enclosing module; nested modules are
+// skipped, as go list skips them.
 //
 // Findings are suppressed line-by-line with "//lint:allow <analyzer> <why>"
 // directives; see internal/lint for the exact semantics.
@@ -38,7 +37,6 @@ import (
 	"strings"
 
 	"repro/internal/lint"
-	"repro/internal/lint/detrand"
 	"repro/internal/lint/errpanic"
 	"repro/internal/lint/jsondet"
 	"repro/internal/lint/maporder"
@@ -49,7 +47,6 @@ import (
 )
 
 var analyzers = []*lint.Analyzer{
-	detrand.Analyzer,
 	errpanic.Analyzer,
 	jsondet.Analyzer,
 	maporder.Analyzer,
@@ -60,31 +57,14 @@ var analyzers = []*lint.Analyzer{
 }
 
 func main() {
-	// The audited single exit: every mode — vet driver handshake, unit
-	// check, standalone run — reports its status as a code through here.
-	os.Exit(run(os.Args[1:]))
+	// The audited single exit: run's status code leaves the process here.
+	os.Exit(run())
 }
 
-// run dispatches on the argument shape and returns the process exit code:
-// 0 clean, 1 findings, 2 usage or load failure.
-func run(args []string) int {
-	// go vet driver protocol: version handshake, flag discovery, then one
-	// invocation per package with a .cfg file as the only argument.
-	if len(args) == 1 {
-		switch {
-		case args[0] == "-V=full":
-			printVersion()
-			return 0
-		case args[0] == "-flags":
-			fmt.Println("[]")
-			return 0
-		case strings.HasSuffix(args[0], ".cfg"):
-			return unitCheck(args[0])
-		}
-	}
-
+// run lints the packages named on the command line and returns the process
+// exit code: 0 clean, 1 findings, 2 usage or load failure.
+func run() int {
 	listFlag := flag.Bool("list", false, "list analyzers and exit")
-	disable := flag.String("disable", "", "comma-separated analyzers to skip")
 	jsonFlag := flag.Bool("json", false, "emit diagnostics as JSON")
 	flag.Parse()
 
@@ -93,20 +73,6 @@ func run(args []string) int {
 			fmt.Printf("%-10s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-
-	enabled := analyzers
-	if *disable != "" {
-		skip := make(map[string]bool)
-		for _, name := range strings.Split(*disable, ",") {
-			skip[strings.TrimSpace(name)] = true
-		}
-		enabled = nil
-		for _, a := range analyzers {
-			if !skip[a.Name] {
-				enabled = append(enabled, a)
-			}
-		}
 	}
 
 	patterns := flag.Args()
@@ -124,7 +90,7 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "anvillint:", err)
 		return 2
 	}
-	diags, err := lint.RunAnalyzers(pkgs, enabled)
+	diags, err := lint.RunAnalyzers(pkgs, analyzers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "anvillint:", err)
 		return 2

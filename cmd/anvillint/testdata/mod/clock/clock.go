@@ -1,6 +1,6 @@
-// Package clock is outside any determinism zone: the time.Now here is a
-// detrand finding on its own line, and the exported wallclock fact flags the
-// zone caller in package app across the package boundary.
+// Package clock is outside any determinism zone, so its time.Now draws no
+// finding on its own line; the exported wallclock fact still flags the zone
+// caller in package app across the package boundary.
 package clock
 
 import "time"

@@ -208,7 +208,7 @@ func runLocal(ctx context.Context, o options, sweepBudget scenario.Budget, want 
 			ecfg = cfg.WithJournal(o.journal, o.resume)
 			ecfg.Sweep = e.Name
 		}
-		start := time.Now() //lint:allow detrand host-side CLI timing how long table regeneration takes
+		start := time.Now()
 		res, err := e.Run(ecfg)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -230,7 +230,6 @@ func runLocal(ctx context.Context, o options, sweepBudget scenario.Budget, want 
 			}
 			continue
 		}
-		//lint:allow detrand host-side CLI timing how long table regeneration takes
 		elapsed := time.Since(start).Seconds()
 		if asJSON {
 			data, err := json.Marshal(res)

@@ -69,7 +69,7 @@ func main() {
 	baseCoord := mapper.Map(basePA)
 
 	// The module hammers rows inside its own (validated!) code segment.
-	start := time.Now() //lint:allow detrand example reports real elapsed time next to simulated time
+	start := time.Now()
 	for trial := 0; trial < 60; trial++ {
 		victim := dram.Coord{Bank: baseCoord.Bank, Row: baseCoord.Row + 4 + trial*2}
 		a, err := attack.NewDoubleSidedFlush(attack.Options{
@@ -105,7 +105,6 @@ func main() {
 				fmt.Printf("  flip in instruction %d, bit %d: VALIDATED instruction became an\n", inst, bit)
 				fmt.Println("  unconstrained jump — control transfers into the middle of a bundle")
 				fmt.Printf("\nsandbox escaped after hammering %d rows (%.1fs host, %.0f ms simulated)\n",
-					//lint:allow detrand example reports real elapsed time next to simulated time
 					trial+1, time.Since(start).Seconds(), m.Freq.Millis(m.Cores[0].Now))
 				fmt.Println("the validator never re-runs: hardware changed the code after the check")
 				return

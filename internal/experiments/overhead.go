@@ -158,7 +158,7 @@ func figure4Benchmarks() []workload.Profile {
 	for _, name := range []string{"bzip2", "gcc", "gobmk", "libquantum", "perlbench"} {
 		p, ok := workload.ByName(name)
 		if !ok {
-			panic("experiments: missing profile " + name)
+			panic("experiments: missing profile " + name) //lint:allow errpanic static profile list; a name missing from the workload table is a programmer error, not a recoverable simulation state
 		}
 		out = append(out, p)
 	}

@@ -91,6 +91,15 @@ func FuncDisplayName(pass *Pass, fn *types.Func) string {
 	return name
 }
 
+// namedOf unwraps one pointer level and returns the named type, or nil.
+func namedOf(t types.Type) *types.Named {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
+}
+
 func unparen(e ast.Expr) ast.Expr {
 	for {
 		p, ok := e.(*ast.ParenExpr)

@@ -14,13 +14,13 @@ func TestParseDirective(t *testing.T) {
 		analyzer string // "" means: not a directive
 		reason   string
 	}{
-		{"//lint:allow detrand reason words", "detrand", "reason words"},
-		{"//lint:allow detrand", "detrand", ""},
-		{"//lint:allow\tdetrand\ttabbed justification", "detrand", "tabbed justification"},
-		{"//lint:allow detrand reason // trailing comment ignored", "detrand", "reason"},
-		{"//lint:allow detrand // only a trailing comment", "detrand", ""},
-		{"//lint:allow  detrand   collapsed   spacing", "detrand", "collapsed spacing"},
-		{"//lint:allowfoo detrand smushed prefix", "", ""},
+		{"//lint:allow tickconv reason words", "tickconv", "reason words"},
+		{"//lint:allow tickconv", "tickconv", ""},
+		{"//lint:allow\ttickconv\ttabbed justification", "tickconv", "tabbed justification"},
+		{"//lint:allow tickconv reason // trailing comment ignored", "tickconv", "reason"},
+		{"//lint:allow tickconv // only a trailing comment", "tickconv", ""},
+		{"//lint:allow  tickconv   collapsed   spacing", "tickconv", "collapsed spacing"},
+		{"//lint:allowfoo tickconv smushed prefix", "", ""},
 		{"//lint:allow", "", ""},
 		{"//lint:allow // no analyzer at all", "", ""},
 		{"// ordinary comment", "", ""},
@@ -62,7 +62,7 @@ func TestParseZoneDirective(t *testing.T) {
 		{"//lint:zone // comment only", "", true},
 		// Not zone directives at all.
 		{"//lint:zoned deterministic", "", false},
-		{"//lint:allow detrand x", "", false},
+		{"//lint:allow tickconv x", "", false},
 		{"// plain comment", "", false},
 	}
 	for _, c := range cases {
@@ -90,7 +90,7 @@ func TestDirectiveSetMatch(t *testing.T) {
 	src := `package x
 
 func a() {
-	f() //lint:allow detrand trailing directive
+	f() //lint:allow tickconv trailing directive
 	//lint:allow maporder directive above
 	g()
 	h()
@@ -104,7 +104,7 @@ func b() { i() } //lint:allow errpanic trailing on the same line
 
 	at := func(line int) token.Position { return token.Position{Filename: "x.go", Line: line} }
 
-	if set.match(at(4), "detrand") == nil {
+	if set.match(at(4), "tickconv") == nil {
 		t.Error("trailing directive did not cover its own line")
 	}
 	if set.match(at(6), "maporder") == nil {
@@ -116,9 +116,8 @@ func b() { i() } //lint:allow errpanic trailing on the same line
 	if set.match(at(4), "maporder") != nil {
 		t.Error("directive matched the wrong analyzer")
 	}
-	// Two directives covering one line, for different analyzers — the
-	// stacked-above plus trailing pattern used at the scenario runner's
-	// backoff sites.
+	// Two directives covering one line, for different analyzers: one
+	// stacked above, one trailing.
 	if set.match(at(11), "wallclock") == nil || set.match(at(11), "errpanic") == nil {
 		t.Error("stacked and trailing directives did not both cover line 11")
 	}

@@ -26,12 +26,12 @@ import (
 // panics marks a function from which an explicit panic is reachable.
 type panics struct {
 	// What names the terminal call: "panic", "log.Fatalf", "os.Exit".
-	What string `json:"what"`
+	What string
 	// Pos locates it (file.go:line).
-	Pos string `json:"pos"`
+	Pos string
 	// Via names the callee chain from the fact's function; empty when the
 	// panic is in the function's own body.
-	Via string `json:"via,omitempty"`
+	Via string
 }
 
 func (*panics) AFact() {}
@@ -42,7 +42,6 @@ var Analyzer = &lint.Analyzer{
 	Doc: "forbid panic/log.Fatal/os.Exit reachable from exported " +
 		"deterministic-zone APIs; return errors instead",
 	RequireReason: true,
-	Facts:         []lint.Fact{(*panics)(nil)},
 	Run:           run,
 }
 

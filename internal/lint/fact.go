@@ -1,12 +1,8 @@
 package lint
 
 import (
-	"encoding/json"
-	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
-	"strings"
 )
 
 // A Fact is a per-object datum one analyzer computes while analyzing the
@@ -15,9 +11,7 @@ import (
 // across package boundaries: "this function reaches time.Now", "this type
 // marshals a map", "this helper hands out an unseeded RNG".
 //
-// Fact types must be pointers to JSON-marshalable structs and must be listed
-// in their analyzer's Facts field so the vet driver can serialize them
-// between compilation units.
+// Fact types must be pointers to structs.
 type Fact interface {
 	// AFact marks the type as a fact. It is never called.
 	AFact()
@@ -30,20 +24,19 @@ type factID struct {
 	typ      reflect.Type
 }
 
-// A FactStore holds the facts of an analysis session. In the standalone
-// driver one store spans every package of the run (packages share object
-// identity through the loader); in the vet unit driver the store is rebuilt
-// per compilation unit from the serialized facts of its dependencies.
-type FactStore struct {
+// A factStore holds the facts of one RunAnalyzers session. A single store
+// spans every package of the run: packages share object identity through
+// the loader, so a fact exported while analyzing a dependency is found by
+// object when its importers are analyzed.
+type factStore struct {
 	objs map[types.Object]map[factID]Fact
 }
 
-// NewFactStore returns an empty store.
-func NewFactStore() *FactStore {
-	return &FactStore{objs: make(map[types.Object]map[factID]Fact)}
+func newFactStore() *factStore {
+	return &factStore{objs: make(map[types.Object]map[factID]Fact)}
 }
 
-func (s *FactStore) export(analyzer string, obj types.Object, f Fact) {
+func (s *factStore) export(analyzer string, obj types.Object, f Fact) {
 	if obj == nil || f == nil {
 		return
 	}
@@ -58,7 +51,7 @@ func (s *FactStore) export(analyzer string, obj types.Object, f Fact) {
 
 // imported copies the stored fact for (analyzer, obj, type of dst) into dst,
 // reporting whether one was found. dst must be a pointer to a fact struct.
-func (s *FactStore) imported(analyzer string, obj types.Object, dst Fact) bool {
+func (s *factStore) imported(analyzer string, obj types.Object, dst Fact) bool {
 	if obj == nil || dst == nil {
 		return false
 	}
@@ -69,140 +62,4 @@ func (s *FactStore) imported(analyzer string, obj types.Object, dst Fact) bool {
 	}
 	reflect.ValueOf(dst).Elem().Set(reflect.ValueOf(f).Elem())
 	return true
-}
-
-// A FactRegistry maps serialized fact names ("analyzer/TypeName") to their
-// concrete struct types, so the vet driver can decode facts it wrote in an
-// earlier compilation unit.
-type FactRegistry map[string]reflect.Type
-
-// NewFactRegistry collects the fact prototypes declared by the analyzers.
-func NewFactRegistry(analyzers []*Analyzer) FactRegistry {
-	reg := make(FactRegistry)
-	for _, a := range analyzers {
-		for _, f := range a.Facts {
-			reg[factName(a.Name, reflect.TypeOf(f))] = reflect.TypeOf(f)
-		}
-	}
-	return reg
-}
-
-func factName(analyzer string, t reflect.Type) string {
-	return analyzer + "/" + t.Elem().Name()
-}
-
-// encodedFact is the on-disk form of one object fact.
-type encodedFact struct {
-	Object string          `json:"object"`
-	Fact   string          `json:"fact"`
-	Data   json.RawMessage `json:"data"`
-}
-
-// EncodePackageFacts serializes the facts attached to pkg's objects that
-// have a stable object path (package-level functions, types, variables, and
-// methods). Output is deterministic: sorted by object path and fact name.
-func (s *FactStore) EncodePackageFacts(pkg *types.Package) ([]byte, error) {
-	var out []encodedFact
-	for obj, m := range s.objs {
-		if obj.Pkg() != pkg {
-			continue
-		}
-		path, ok := ObjectPath(obj)
-		if !ok {
-			continue
-		}
-		//lint:allow maporder entries are sorted below before encoding; the inner return is an error path
-		for id, f := range m {
-			data, err := json.Marshal(f)
-			if err != nil {
-				return nil, fmt.Errorf("lint: encoding fact %T for %s: %v", f, path, err)
-			}
-			out = append(out, encodedFact{
-				Object: path,
-				Fact:   factName(id.analyzer, id.typ),
-				Data:   data,
-			})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Object != out[j].Object {
-			return out[i].Object < out[j].Object
-		}
-		return out[i].Fact < out[j].Fact
-	})
-	return json.MarshalIndent(out, "", "\t")
-}
-
-// DecodePackageFacts attaches serialized facts back onto pkg's objects.
-// Facts whose object path or fact name no longer resolves are skipped: a
-// fact on an object the current unit cannot reference is a fact it cannot
-// need.
-func (s *FactStore) DecodePackageFacts(pkg *types.Package, data []byte, reg FactRegistry) error {
-	var in []encodedFact
-	if err := json.Unmarshal(data, &in); err != nil {
-		return fmt.Errorf("lint: decoding facts for %s: %v", pkg.Path(), err)
-	}
-	for _, ef := range in {
-		t, ok := reg[ef.Fact]
-		if !ok {
-			continue
-		}
-		obj := resolveObjectPath(pkg, ef.Object)
-		if obj == nil {
-			continue
-		}
-		f := reflect.New(t.Elem()).Interface().(Fact)
-		if err := json.Unmarshal(ef.Data, f); err != nil {
-			return fmt.Errorf("lint: decoding fact %s on %s: %v", ef.Fact, ef.Object, err)
-		}
-		analyzer := strings.SplitN(ef.Fact, "/", 2)[0]
-		s.export(analyzer, obj, f)
-	}
-	return nil
-}
-
-// ObjectPath returns a stable intra-package path for obj: "Name" for
-// package-level functions, types and variables, "Type.Method" for methods.
-// Objects without such a path (locals, parameters, fields) cannot carry
-// facts across compilation units and report ok == false.
-func ObjectPath(obj types.Object) (string, bool) {
-	if obj == nil || obj.Pkg() == nil {
-		return "", false
-	}
-	if fn, ok := obj.(*types.Func); ok {
-		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-			named := namedOf(recv.Type())
-			if named == nil {
-				return "", false
-			}
-			return named.Obj().Name() + "." + fn.Name(), true
-		}
-	}
-	if obj.Parent() == obj.Pkg().Scope() {
-		return obj.Name(), true
-	}
-	return "", false
-}
-
-// resolveObjectPath is the inverse of ObjectPath against pkg's scope.
-func resolveObjectPath(pkg *types.Package, path string) types.Object {
-	recv, name, isMethod := strings.Cut(path, ".")
-	if !isMethod {
-		return pkg.Scope().Lookup(path)
-	}
-	tn, ok := pkg.Scope().Lookup(recv).(*types.TypeName)
-	if !ok {
-		return nil
-	}
-	obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, pkg, name)
-	return obj
-}
-
-// namedOf unwraps one pointer level and returns the named type, or nil.
-func namedOf(t types.Type) *types.Named {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, _ := t.(*types.Named)
-	return named
 }

@@ -34,11 +34,11 @@ import (
 type unorderedJSON struct {
 	// Path is the field path from the type to the offending data, e.g.
 	// ".Rows[].Counts"; empty when the type itself is a map.
-	Path string `json:"path"`
+	Path string
 	// Kind is the offending type, e.g. "map[string]uint64".
-	Kind string `json:"kind"`
+	Kind string
 	// Pos locates the offending field (file.go:line), when known.
-	Pos string `json:"pos,omitempty"`
+	Pos string
 }
 
 func (*unorderedJSON) AFact() {}
@@ -49,7 +49,6 @@ var Analyzer = &lint.Analyzer{
 	Doc: "forbid map/interface fields (without MarshalJSON) in structs " +
 		"marshalled to JSON from deterministic-zone code",
 	RequireReason: true,
-	Facts:         []lint.Fact{(*unorderedJSON)(nil)},
 	Run:           run,
 }
 

@@ -42,11 +42,6 @@ type Analyzer struct {
 	// itself a diagnostic: suppressions must carry a justification.
 	RequireReason bool
 
-	// Facts lists prototype values (nil pointers suffice) of every fact
-	// type the analyzer exports, so the vet driver can serialize them
-	// across compilation units.
-	Facts []Fact
-
 	// Run performs the analysis on one package and reports findings
 	// through the pass.
 	Run func(*Pass) error
@@ -63,7 +58,7 @@ type Pass struct {
 
 	zones *zoneInfo
 	dirs  *directiveSet
-	store *FactStore
+	store *factStore
 	diags *[]Diagnostic
 }
 
@@ -145,13 +140,7 @@ func (p *Pass) ImportObjectFact(obj types.Object, dst Fact) bool {
 // matching diagnostics are dropped (or, for RequireReason analyzers with a
 // bare directive, replaced with a complaint about the missing justification).
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunAnalyzersStore(pkgs, analyzers, NewFactStore())
-}
-
-// RunAnalyzersStore is RunAnalyzers against a caller-owned fact store — the
-// entry point for the vet unit driver, which pre-populates the store with
-// the serialized facts of the unit's dependencies.
-func RunAnalyzersStore(pkgs []*Package, analyzers []*Analyzer, store *FactStore) ([]Diagnostic, error) {
+	store := newFactStore()
 	var out []Diagnostic
 	for _, pkg := range sortDeps(pkgs) {
 		dirs := collectDirectives(pkg.Fset, pkg.Files)

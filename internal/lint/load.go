@@ -87,8 +87,9 @@ func (l *Loader) Fset() *token.FileSet { return l.fset }
 
 // Expand resolves package patterns ("./...", "./internal/sim",
 // "repro/cmd/...") into the sorted list of module import paths that contain
-// buildable Go files. Directories named testdata or vendor, and hidden
-// directories, are skipped.
+// buildable Go files. Directories named testdata or vendor, hidden
+// directories, and nested modules (directories below the module root with a
+// go.mod of their own) are skipped, as go list skips them.
 func (l *Loader) Expand(patterns []string) ([]string, error) {
 	seen := make(map[string]bool)
 	var out []string
@@ -130,6 +131,11 @@ func (l *Loader) Expand(patterns []string) ([]string, error) {
 			if p != base && (name == "testdata" || name == "vendor" ||
 				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 				return filepath.SkipDir
+			}
+			if p != l.ModuleDir {
+				if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
 			}
 			if hasGoFiles(p) {
 				add(l.dirToPath(p))

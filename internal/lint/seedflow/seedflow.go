@@ -23,6 +23,10 @@
 // site. Opaque helper calls in seed expressions are trusted (no false
 // positives); an //lint:allow on the construction absorbs both report and
 // fact.
+//
+// A deterministic-zone package may not import math/rand, math/rand/v2 or
+// crypto/rand at all: an ambient RNG is a stream no Spec seed controls, so
+// there is no provenance to trace.
 package seedflow
 
 import (
@@ -30,6 +34,7 @@ import (
 	"go/ast"
 	"go/types"
 	"path/filepath"
+	"strconv"
 
 	"repro/internal/lint"
 )
@@ -39,12 +44,12 @@ import (
 type unseededRand struct {
 	// What describes the offending provenance: "constants only",
 	// "package-level var x", "the host clock".
-	What string `json:"what"`
+	What string
 	// Pos locates the construction (file.go:line).
-	Pos string `json:"pos"`
+	Pos string
 	// Via names the callee chain for indirect taint; empty when the
 	// construction is in the function's own body.
-	Via string `json:"via,omitempty"`
+	Via string
 }
 
 func (*unseededRand) AFact() {}
@@ -54,9 +59,8 @@ var Analyzer = &lint.Analyzer{
 	Name: "seedflow",
 	Doc: "require every sim.Rand constructed in deterministic-zone code to " +
 		"derive its seed from Spec/ReplicateSeed state, not literals, " +
-		"globals or the clock",
+		"globals or the clock, and forbid ambient RNG imports there",
 	RequireReason: true,
-	Facts:         []lint.Fact{(*unseededRand)(nil)},
 	Run:           run,
 }
 
@@ -67,7 +71,27 @@ type site struct {
 	fn   *types.Func
 }
 
+// ambientRNGs are the packages whose streams are seeded globally or by the
+// OS, never by the caller.
+var ambientRNGs = map[string]bool{
+	"math/rand":    true,
+	"math/rand/v2": true,
+	"crypto/rand":  true,
+}
+
 func run(pass *lint.Pass) error {
+	if pass.PackageZone() == lint.ZoneDeterministic {
+		for _, f := range pass.Files {
+			for _, spec := range f.Imports {
+				if path, _ := strconv.Unquote(spec.Path.Value); ambientRNGs[path] {
+					pass.Reportf(spec.Pos(),
+						"import of %q brings an ambient RNG into deterministic-zone code; no Spec seed controls its stream — use a *sim.Rand derived from the Spec",
+						path)
+				}
+			}
+		}
+	}
+
 	funcs := lint.Functions(pass)
 	local := make(map[*types.Func]*ast.FuncDecl, len(funcs))
 	sites := make(map[*types.Func][]site, len(funcs))

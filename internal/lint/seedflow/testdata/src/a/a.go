@@ -2,6 +2,7 @@
 package a
 
 import (
+	"math/rand" // want `import of "math/rand" brings an ambient RNG into deterministic-zone code`
 	"time"
 
 	"seeds"
@@ -41,6 +42,10 @@ func wrapperLiteral() *sim.Rand {
 
 func reseed(r *sim.Rand) {
 	r.Seed(7) // want `sim\.Rand\.Seed seeds a sim\.Rand from constants only`
+}
+
+func ambient() int {
+	return rand.Int() // reported once, at the import
 }
 
 func tracedConstant() *sim.Rand {

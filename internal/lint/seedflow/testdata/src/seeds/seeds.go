@@ -3,7 +3,11 @@
 // facts that flag their deterministic-zone callers.
 package seeds
 
-import "sim"
+import (
+	"crypto/rand" // no finding: the ambient-RNG import rule covers deterministic-zone packages only
+
+	"sim"
+)
 
 // DefaultRNG hands out a fixed stream; its fact flags zone callers.
 func DefaultRNG() *sim.Rand {
@@ -20,4 +24,11 @@ func Wrapped() *sim.Rand {
 // judged at each call site from the argument's provenance.
 func FromSeed(seed uint64) *sim.Rand {
 	return sim.NewRand(seed)
+}
+
+// Nonce draws OS entropy, as host-side code may.
+func Nonce() []byte {
+	b := make([]byte, 8)
+	_, _ = rand.Read(b)
+	return b
 }

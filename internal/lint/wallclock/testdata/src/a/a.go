@@ -11,6 +11,11 @@ func direct() {
 	_ = time.Now() // want `time\.Now reads the host clock in deterministic-zone code`
 }
 
+func directElapsed(start time.Time) {
+	_ = time.Since(start)         // want `time\.Since reads the host clock in deterministic-zone code`
+	_ = time.After(2 * time.Hour) // want `time\.After reads the host clock in deterministic-zone code`
+}
+
 func crossPackage() int64 {
 	return timeutil.Stamp() // want `call to timeutil\.Stamp reaches time\.Now \(timeutil\.go:11\)`
 }

@@ -1,10 +1,13 @@
 // Package wallclock proves, across package boundaries, that no
-// deterministic-zone code can reach the host clock. detrand already flags
-// syntactic time.Now/time.Since/time.NewTicker calls file by file; wallclock
-// closes the remaining hole — a zone function calling an innocent-looking
-// helper in another package that reads the clock three frames down. It
-// propagates a "reaches the wall clock" fact along the call graph, so the
-// helper's home package records the taint once and every importer sees it.
+// deterministic-zone code can reach the host clock. It flags direct calls to
+// the clock entry points of package time (Now, Since, Until, After,
+// AfterFunc, Tick, NewTicker, NewTimer, Sleep) in zone code, and the
+// indirect case too — a zone function calling an innocent-looking helper in
+// another package that reads the clock three frames down. It propagates a
+// "reaches the wall clock" fact along the call graph, so the helper's home
+// package records the taint once and every importer sees it. Host-zone and
+// unzoned code may read the clock freely; only what zone code reaches is
+// reported.
 //
 // An allow directive on the clock-reading call absorbs the taint: the
 // annotated site (the scenario runner's retry backoff) is asserted to keep
@@ -26,12 +29,12 @@ import (
 // usesWallClock marks a function from which a host-clock call is reachable.
 type usesWallClock struct {
 	// Call is the ultimate clock entry point, e.g. "time.Now".
-	Call string `json:"call"`
+	Call string
 	// Pos locates that call (file:line).
-	Pos string `json:"pos"`
+	Pos string
 	// Via names the callee chain from the fact's function to the call,
 	// e.g. "flushLoop → syncNow"; empty for a direct call.
-	Via string `json:"via,omitempty"`
+	Via string
 }
 
 func (*usesWallClock) AFact() {}
@@ -42,7 +45,6 @@ var Analyzer = &lint.Analyzer{
 	Doc: "forbid host-clock reads (time.Now/Since/Ticker/Timer/Sleep) " +
 		"reachable from deterministic-zone code, across package boundaries",
 	RequireReason: true,
-	Facts:         []lint.Fact{(*usesWallClock)(nil)},
 	Run:           run,
 }
 
@@ -202,7 +204,7 @@ func clockCall(pass *lint.Pass, call *ast.CallExpr) (string, bool) {
 }
 
 // posString renders a witness position as "file.go:12" — basename only, so
-// fact payloads and messages are stable across checkouts and drivers.
+// messages are stable across checkouts.
 func posString(pass *lint.Pass, n ast.Node) string {
 	p := pass.Fset.Position(n.Pos())
 	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)

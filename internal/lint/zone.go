@@ -13,8 +13,8 @@ import (
 // Deterministic-zone code is everything whose behaviour must be a pure
 // function of (Spec, Seed): the simulator core, the components it assembles,
 // and the scenario engine that replays replicates. Host-zone code may touch
-// the host clock, the OS, and process-fatal error handling: CLIs, profiling,
-// the on-disk journal internals.
+// the host clock, the OS, and process-fatal error handling: the sweep
+// daemon, its workers, injected network faults.
 //
 // A package declares its zone with a directive on (or above) the package
 // clause:
@@ -46,26 +46,31 @@ const (
 )
 
 // DefaultZones maps module-relative package paths to their default zone. It
-// covers every package on the simulation path; packages can override with an
-// explicit //lint:zone directive. The on-disk journal (fsync pacing),
-// profiling, reporting and the CLIs stay host-side.
+// covers every package on the simulation path, including the experiments
+// that build the registry's results, and marks the sweep service's daemon,
+// worker and network-fault packages host-side; packages can override with
+// an explicit //lint:zone directive. Everything else — the on-disk journal
+// (fsync pacing), profiling, reporting and the CLIs — is unzoned: the zone
+// analyzers compute facts there, so zoned callers still see what it
+// reaches, but report nothing in it.
 var DefaultZones = map[string]Zone{
-	"internal/anvil":    ZoneDeterministic,
-	"internal/attack":   ZoneDeterministic,
-	"internal/cache":    ZoneDeterministic,
-	"internal/defense":  ZoneDeterministic,
-	"internal/dram":     ZoneDeterministic,
-	"internal/fault":    ZoneDeterministic,
-	"internal/machine":  ZoneDeterministic,
-	"internal/memsys":   ZoneDeterministic,
-	"internal/netchaos": ZoneHost,
-	"internal/pmu":      ZoneDeterministic,
-	"internal/scenario": ZoneDeterministic,
-	"internal/sim":      ZoneDeterministic,
-	"internal/sweepd":   ZoneHost,
-	"internal/vm":       ZoneDeterministic,
-	"internal/workerd":  ZoneHost,
-	"internal/workload": ZoneDeterministic,
+	"internal/anvil":       ZoneDeterministic,
+	"internal/attack":      ZoneDeterministic,
+	"internal/cache":       ZoneDeterministic,
+	"internal/defense":     ZoneDeterministic,
+	"internal/dram":        ZoneDeterministic,
+	"internal/experiments": ZoneDeterministic,
+	"internal/fault":       ZoneDeterministic,
+	"internal/machine":     ZoneDeterministic,
+	"internal/memsys":      ZoneDeterministic,
+	"internal/netchaos":    ZoneHost,
+	"internal/pmu":         ZoneDeterministic,
+	"internal/scenario":    ZoneDeterministic,
+	"internal/sim":         ZoneDeterministic,
+	"internal/sweepd":      ZoneHost,
+	"internal/vm":          ZoneDeterministic,
+	"internal/workerd":     ZoneHost,
+	"internal/workload":    ZoneDeterministic,
 }
 
 // DefaultZone returns the zone DefaultZones assigns to an import path, by

@@ -136,7 +136,6 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, fmt.Errorf("%w: partitioned: %s %s never sent", ErrInjected, req.Method, req.URL.Path)
 	}
 	if t.faults.Latency > 0 {
-		//lint:allow detrand injected latency is host wall-clock by definition
 		timer := time.NewTimer(t.faults.Latency)
 		select {
 		case <-timer.C:

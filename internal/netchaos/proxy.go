@@ -140,7 +140,6 @@ func (p *Proxy) relay(client net.Conn, budget int64) {
 	defer p.forget(client)
 	defer client.Close()
 	if p.opts.Latency > 0 {
-		//lint:allow detrand injected latency is host wall-clock by definition
 		time.Sleep(p.opts.Latency)
 	}
 	upstream, err := net.Dial("tcp", p.target)

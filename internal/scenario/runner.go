@@ -398,15 +398,15 @@ func RunSweep[T any](ctx context.Context, n int, opts Options, fn func(ctx conte
 	}
 
 	//lint:allow wallclock wall-clock sweep budget; scheduling only, never read by simulated code
-	start := time.Now() //lint:allow detrand wall-clock sweep budget; scheduling only, never read by simulated code
-	ran := 0            // replicates dispatched this run (owned by the scheduling goroutine)
+	start := time.Now()
+	ran := 0 // replicates dispatched this run (owned by the scheduling goroutine)
 	exhausted := func() (string, bool) {
 		b := opts.Budget
 		if b.Replicates > 0 && ran >= b.Replicates {
 			return fmt.Sprintf("replicate budget %d exhausted", b.Replicates), true
 		}
 		//lint:allow wallclock wall-clock sweep budget; scheduling only, never read by simulated code
-		if b.WallClock > 0 && time.Since(start) >= b.WallClock { //lint:allow detrand wall-clock sweep budget; scheduling only, never read by simulated code
+		if b.WallClock > 0 && time.Since(start) >= b.WallClock {
 			return fmt.Sprintf("wall-clock budget %v exhausted", b.WallClock), true
 		}
 		return "", false
@@ -613,7 +613,7 @@ func sleepBackoff(ctx context.Context, d time.Duration) bool {
 		return ctx.Err() == nil
 	}
 	//lint:allow wallclock retry backoff is host wall-clock by design; never folded into simulated ticks
-	t := time.NewTimer(d) //lint:allow detrand retry backoff is host wall-clock by design; never folded into simulated ticks
+	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-ctx.Done():

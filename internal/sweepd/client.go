@@ -101,7 +101,6 @@ func (c *Client) retry(ctx context.Context, fn func() error) error {
 		if !ok {
 			return err
 		}
-		//lint:allow detrand retry backoff is host wall-clock by design
 		t := time.NewTimer(d)
 		select {
 		case <-ctx.Done():
@@ -294,7 +293,6 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (JobSt
 	if poll <= 0 {
 		poll = DefaultPoll
 	}
-	//lint:allow detrand client-side polling cadence is host wall-clock by definition
 	tick := time.NewTicker(poll)
 	defer tick.Stop()
 	for {

@@ -361,7 +361,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if h.Draining {
 		h.Status = "draining"
 	}
-	//lint:allow detrand lease expiry is host wall-clock by definition
 	h.ActiveLeases, h.ShardedJobs = s.leases.counts(time.Now())
 	if err := s.store.Sync(); err != nil {
 		h.Journal = err.Error()
@@ -386,7 +385,6 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 	if req.Worker == "" {
 		req.Worker = callerOf(r)
 	}
-	//lint:allow detrand lease expiry is host wall-clock by definition
 	grant, ok := s.leases.claim(req.Worker, req.MaxSlots, time.Now())
 	if !ok {
 		w.Header().Set("Retry-After", "1")
@@ -402,7 +400,6 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 // abandon them and claim afresh.
 func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	//lint:allow detrand lease expiry is host wall-clock by definition
 	ttl, ok := s.leases.renew(id, time.Now())
 	if !ok {
 		writeErr(w, http.StatusGone, "lease %s expired or never existed; re-claim", id)
@@ -423,7 +420,6 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "decoding upload: %v", err)
 		return
 	}
-	//lint:allow detrand lease expiry is host wall-clock by definition
 	ack, err := s.leases.upload(req.JobID, req.Replicate, req.Result, time.Now())
 	switch {
 	case errors.Is(err, errGone):
@@ -439,7 +435,6 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 // handleRelease is POST /v1/leases/{id}/release: a worker giving its lease
 // back explicitly (graceful shutdown, or all slots uploaded). Idempotent.
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
-	//lint:allow detrand lease expiry is host wall-clock by definition
 	s.leases.release(r.PathValue("id"), time.Now())
 	writeJSON(w, http.StatusOK, struct{}{})
 }
@@ -496,7 +491,6 @@ func (s *Server) runJob(job *Job) {
 	}
 
 	job.resetProgress()
-	//lint:allow detrand job wall-clock accounting is host-side by definition; never read by simulated code
 	start := time.Now()
 
 	// Distribution phase: shardable jobs first offer their replicate slots
@@ -533,7 +527,6 @@ func (s *Server) runJob(job *Job) {
 	job.setTotal(exp.EstimatedReps(cfg))
 
 	res, runErr := exp.Run(cfg)
-	//lint:allow detrand job wall-clock accounting is host-side by definition; never read by simulated code
 	wall := time.Since(start)
 
 	if s.runCtx.Err() != nil {
@@ -598,7 +591,6 @@ func (s *Server) distribute(job *Job, exp scenario.Experiment, sweepDir string) 
 	}
 	pre, _ := j.Completed()
 	job.setTotal(n)
-	//lint:allow detrand lease expiry is host wall-clock by definition
 	s.leases.register(job, n, j, pre, time.Now())
 	s.logf("job %s: distributing %d replicates (%d already journaled)", job.ID, n, len(pre))
 
@@ -617,7 +609,6 @@ func (s *Server) distribute(job *Job, exp scenario.Experiment, sweepDir string) 
 		return uploaded
 	}
 
-	//lint:allow detrand lease-plane polling cadence is host wall-clock by definition
 	ticker := time.NewTicker(shardPollInterval)
 	defer ticker.Stop()
 	for {
@@ -626,7 +617,6 @@ func (s *Server) distribute(job *Job, exp scenario.Experiment, sweepDir string) 
 			return finishPhase()
 		case <-ticker.C:
 		}
-		//lint:allow detrand lease expiry is host wall-clock by definition
 		p, ok := s.leases.poll(job.ID, time.Now())
 		if !ok || p.remaining == 0 {
 			return finishPhase()

@@ -132,7 +132,6 @@ func (w *Worker) Run(ctx context.Context) error {
 			return
 		case <-ctx.Done():
 		}
-		//lint:allow detrand shutdown grace is host wall-clock by definition
 		t := time.NewTimer(w.opts.Grace)
 		defer t.Stop()
 		select {
@@ -225,7 +224,6 @@ func (w *Worker) heartbeat(ctx context.Context, id string, ttl time.Duration, lo
 	if interval <= 0 {
 		interval = time.Second
 	}
-	//lint:allow detrand heartbeat cadence is host wall-clock by definition
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
@@ -291,7 +289,6 @@ func (w *Worker) runSlot(ctx context.Context, grant *sweepd.ClaimResponse, slot 
 
 // sleepCtx waits d, returning false if ctx ends first.
 func sleepCtx(ctx context.Context, d time.Duration) bool {
-	//lint:allow detrand poll pacing is host wall-clock by definition
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
