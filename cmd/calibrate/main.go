@@ -41,11 +41,11 @@ func run(args []string) error {
 		}
 		return nil
 	}
-	return missRates()
+	return missRates(50)
 }
 
 // missRates prints each profile's per-6ms LLC miss distribution.
-func missRates() error {
+func missRates(windows int) error {
 	for _, prof := range workload.SPEC2006() {
 		cfg := machine.DefaultConfig()
 		cfg.Cores = 1
@@ -62,7 +62,7 @@ func missRates() error {
 		}
 		var rates []float64
 		last := uint64(0)
-		for i := 0; i < 50; i++ {
+		for i := 0; i < windows; i++ {
 			if err := m.Run(m.Time() + m.Freq.Cycles(6*time.Millisecond)); err != nil {
 				return err
 			}
@@ -83,8 +83,8 @@ func missRates() error {
 				cross++
 			}
 		}
-		fmt.Printf("%-12s avg=%6.0f min=%6.0f max=%6.0f cross=%d/50\n",
-			prof.Name, sum/50, min, max, cross)
+		fmt.Printf("%-12s avg=%6.0f min=%6.0f max=%6.0f cross=%d/%d\n",
+			prof.Name, sum/float64(windows), min, max, cross, windows)
 	}
 	return nil
 }
