@@ -342,10 +342,6 @@ func (s *Synthetic) Next() machine.Op {
 	if s.pendStart < len(s.pending) {
 		op := s.pending[s.pendStart]
 		s.pendStart++
-		if s.pendStart == len(s.pending) {
-			s.pending = s.pending[:0]
-			s.pendStart = 0
-		}
 		s.commit(op)
 		return op
 	}
@@ -358,8 +354,14 @@ func (s *Synthetic) Next() machine.Op {
 // max uncommitted operations (stopping at OpDone) and returns them. Nothing
 // commits until Advance.
 func (s *Synthetic) NextRun(max int) []machine.Op {
-	for len(s.pending)-s.pendStart < max {
-		if n := len(s.pending); n > s.pendStart && s.pending[n-1].Kind == machine.OpDone {
+	// Reclaim the committed prefix. Under ANVIL, timer and PMU-overflow
+	// horizons cut most views short, so the buffer rarely drains fully.
+	if s.pendStart > 0 {
+		s.pending = s.pending[:copy(s.pending, s.pending[s.pendStart:])]
+		s.pendStart = 0
+	}
+	for len(s.pending) < max {
+		if n := len(s.pending); n > 0 && s.pending[n-1].Kind == machine.OpDone {
 			break
 		}
 		op := s.gen()
@@ -368,7 +370,7 @@ func (s *Synthetic) NextRun(max int) []machine.Op {
 			break
 		}
 	}
-	return s.pending[s.pendStart:]
+	return s.pending
 }
 
 // Advance implements machine.BatchProgram.
@@ -377,10 +379,6 @@ func (s *Synthetic) Advance(n int) {
 		s.commit(op)
 	}
 	s.pendStart += n
-	if s.pendStart == len(s.pending) {
-		s.pending = s.pending[:0]
-		s.pendStart = 0
-	}
 }
 
 var _ machine.BatchProgram = (*Synthetic)(nil)

@@ -276,3 +276,26 @@ func TestHeavyLoadNamesResolve(t *testing.T) {
 		}
 	}
 }
+
+// TestSyntheticPendingBounded advances fewer operations than each NextRun
+// view offers — as the machine does whenever a timer or PMU-overflow horizon
+// cuts an epoch short — and checks that the pregenerated buffer stays
+// bounded and the committed stream is the per-op Next stream.
+func TestSyntheticPendingBounded(t *testing.T) {
+	p, _ := ByName("bzip2")
+	batched, ref := mustNew(t, p), mustNew(t, p)
+	const max = 64
+	for round := 0; round < 5000; round++ {
+		view := batched.NextRun(max)
+		n := round % len(view)
+		for i, op := range view[:n] {
+			if want := ref.Next(); op != want {
+				t.Fatalf("round %d op %d: batched %+v, per-op %+v", round, i, op, want)
+			}
+		}
+		batched.Advance(n)
+		if len(batched.pending) > max {
+			t.Fatalf("round %d: %d operations buffered, want at most %d", round, len(batched.pending), max)
+		}
+	}
+}
