@@ -72,6 +72,9 @@ func profiledRun(cpuProf, memProf, attackKind, workloads, defName string,
 }
 
 func run(attackKind, workloads, defName string, duration time.Duration, weakUnits float64, seed uint64, stepBatch int) error {
+	if duration <= 0 {
+		return fmt.Errorf("-duration must be positive, got %v", duration)
+	}
 	spec := scenario.Spec{
 		Seed:      seed,
 		Duration:  duration,
@@ -104,8 +107,9 @@ func run(attackKind, workloads, defName string, duration time.Duration, weakUnit
 	m := in.Machine
 	if in.Hammer != nil {
 		v := in.Hammer.Victim()
+		planted, _ := m.Mem.DRAM.RowThreshold(v.Bank, v.VictimRow)
 		fmt.Printf("attack %s targeting bank %d victim row %d (weakest cell: %.0f units)\n",
-			attackKind, v.Bank, v.VictimRow, weakUnits)
+			attackKind, v.Bank, v.VictimRow, planted)
 	}
 
 	if err := in.RunFor(duration); err != nil {
