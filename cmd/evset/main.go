@@ -18,6 +18,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/machine"
 	"repro/internal/report"
+	"repro/internal/scenario"
 )
 
 func main() {
@@ -33,20 +34,12 @@ func main() {
 }
 
 func run(policy cache.PolicyKind, rounds int) error {
-	cfg := machine.DefaultConfig()
-	cfg.Cores = 1
-	cfg.Memory.Cache.Levels[2].Policy = policy
-	m, err := machine.New(cfg)
+	spec := scenario.Spec{Mutate: func(cfg *machine.Config) { cfg.Memory.Cache.Levels[2].Policy = policy }}
+	in, err := scenario.Build(spec)
 	if err != nil {
 		return err
 	}
-	opts := attack.Options{
-		Mapper:     m.Mem.DRAM.Mapper(),
-		LLC:        cfg.Memory.Cache.Levels[2],
-		AutoTarget: true,
-		BufferMB:   16,
-		Contiguous: true,
-	}
+	opts := in.AttackOptions()
 
 	fmt.Printf("machine LLC: %dKB %d-way, %d slices, policy %s\n",
 		opts.LLC.SizeKB, opts.LLC.Ways, opts.LLC.Slices, policy)
@@ -55,7 +48,7 @@ func run(policy cache.PolicyKind, rounds int) error {
 	fmt.Println("via the LLC miss counter, then correlating against policy simulators...")
 	fmt.Println()
 
-	scores, err := attack.RunInference(m, opts, rounds, cache.AllPolicies())
+	scores, err := attack.RunInference(in.Machine, opts, rounds, cache.AllPolicies())
 	if err != nil {
 		return err
 	}
@@ -71,17 +64,16 @@ func run(policy cache.PolicyKind, rounds int) error {
 	}
 
 	// Show the derived attack pattern for the identified policy.
-	m2, err := machine.New(cfg)
-	if err != nil {
+	if in, err = scenario.Build(spec); err != nil {
 		return err
 	}
-	opts.Mapper = m2.Mem.DRAM.Mapper()
+	opts = in.AttackOptions()
 	opts.LLC.Policy = scores[0].Policy
 	a, err := attack.NewClflushFree(opts)
 	if err != nil {
 		return err
 	}
-	if _, err := m2.Spawn(0, a); err != nil {
+	if _, err := in.Machine.Spawn(0, a); err != nil {
 		return fmt.Errorf("pattern derivation: %w (policy %s may not admit a stable 2-miss pattern)", err, scores[0].Policy)
 	}
 	x, _ := a.Patterns()

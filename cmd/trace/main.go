@@ -17,10 +17,10 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/anvil"
 	"repro/internal/dram"
 	"repro/internal/machine"
 	"repro/internal/pmu"
+	"repro/internal/scenario"
 	"repro/internal/workload"
 )
 
@@ -74,24 +74,20 @@ func run(file string, loops uint64, useANVIL, detailed bool, maxMS uint64) error
 		return err
 	}
 
-	cfg := machine.DefaultConfig()
-	cfg.Cores = 1
-	if detailed {
-		cfg.Memory.DRAM.Detailed = dram.Detailed(cfg.Freq)
+	var spec scenario.Spec
+	if useANVIL {
+		spec.Defense = scenario.ANVILBaseline
 	}
-	m, err := machine.New(cfg)
+	if detailed {
+		spec.Mutate = func(cfg *machine.Config) { cfg.Memory.DRAM.Detailed = dram.Detailed(cfg.Freq) }
+	}
+	in, err := scenario.Build(spec)
 	if err != nil {
 		return err
 	}
+	m := in.Machine
 	if _, err := m.Spawn(0, prog); err != nil {
 		return err
-	}
-	var det *anvil.Detector
-	if useANVIL {
-		if det, err = anvil.New(m, anvil.Baseline(), nil); err != nil {
-			return err
-		}
-		det.Start()
 	}
 	err = m.Run(m.Freq.Cycles(time.Duration(maxMS) * time.Millisecond))
 	if err != nil && !errors.Is(err, machine.ErrAllDone) {
@@ -110,8 +106,8 @@ func run(file string, loops uint64, useANVIL, detailed bool, maxMS uint64) error
 	ds := m.Mem.DRAM.Stats()
 	fmt.Printf("DRAM: %d activations, %d row hits, %d flips\n", ds.Activations, ds.RowHits, ds.Flips)
 	fmt.Printf("PMU: %d misses counted\n", m.Mem.PMU.Read(pmu.EvLLCMiss))
-	if det != nil {
-		s := det.Stats()
+	if in.Detector != nil {
+		s := in.Detector.Stats()
 		fmt.Printf("ANVIL: %d/%d windows crossed, %d detections, %d refreshes\n",
 			s.Stage1Crossings, s.Stage1Windows, len(s.Detections), s.Refreshes)
 	}
@@ -149,16 +145,14 @@ func recordProfile(name string, ops uint64) error {
 		return err
 	}
 	rec := workload.NewRecorder(prog.WithOpLimit(ops), 0)
-	cfg := machine.DefaultConfig()
-	cfg.Cores = 1
-	m, err := machine.New(cfg)
+	in, err := scenario.Build(scenario.Spec{})
 	if err != nil {
 		return err
 	}
-	if _, err := m.Spawn(0, rec); err != nil {
+	if _, err := in.Machine.Spawn(0, rec); err != nil {
 		return err
 	}
-	if err := m.Run(1 << 62); err != nil && !errors.Is(err, machine.ErrAllDone) {
+	if err := in.RunToCompletion(); err != nil {
 		return err
 	}
 	return workload.FormatTrace(os.Stdout, rec.Records())

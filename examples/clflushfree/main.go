@@ -6,35 +6,22 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"log"
 	"time"
 
 	"repro/internal/attack"
 	"repro/internal/cache"
-	"repro/internal/machine"
-	"repro/internal/sim"
+	"repro/internal/scenario"
 )
 
-func newMachine() *machine.Machine {
-	cfg := machine.DefaultConfig()
-	cfg.Cores = 1
-	m, err := machine.New(cfg)
+// build assembles a scenario, exiting on error.
+func build(s scenario.Spec) *scenario.Instance {
+	in, err := scenario.Build(s)
 	if err != nil {
 		log.Fatal(err)
 	}
-	return m
-}
-
-func opts(m *machine.Machine) attack.Options {
-	return attack.Options{
-		Mapper:     m.Mem.DRAM.Mapper(),
-		LLC:        cache.SandyBridgeConfig().Levels[2],
-		AutoTarget: true,
-		BufferMB:   16,
-		Contiguous: true,
-	}
+	return in
 }
 
 func main() {
@@ -42,8 +29,8 @@ func main() {
 
 	// Step 1: identify the replacement policy the way the authors did.
 	fmt.Println("step 1: replacement-policy inference from the LLC miss counter")
-	m := newMachine()
-	scores, err := attack.RunInference(m, opts(m), 60, cache.AllPolicies())
+	in := build(scenario.Spec{})
+	scores, err := attack.RunInference(in.Machine, in.AttackOptions(), 60, cache.AllPolicies())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,16 +39,12 @@ func main() {
 	}
 	fmt.Printf("  => the LLC behaves like %s\n\n", scores[0].Policy)
 
-	// Step 2: build the attack on a fresh machine.
+	// Step 2: build the attack on a fresh machine; Build plants the weak
+	// cell at the victim row the attack picks.
 	fmt.Println("step 2: eviction sets via pagemap + policy-aware access pattern")
-	m = newMachine()
-	a, err := attack.NewClflushFree(opts(m))
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := m.Spawn(0, a); err != nil {
-		log.Fatal(err)
-	}
+	in = build(scenario.Spec{Attack: &scenario.Attack{Kind: scenario.ClflushFree}})
+	m := in.Machine
+	a := in.Hammer.(*attack.ClflushFree)
 	x, y := a.Patterns()
 	fmt.Printf("  set X: %d accesses/iteration, %d steady-state misses, aggressor slot %d\n",
 		len(x.Seq), x.MissesPerIteration, x.AggressorSlot)
@@ -70,20 +53,12 @@ func main() {
 
 	// Step 3: hammer with loads only.
 	v := a.Victim()
-	if err := m.Mem.DRAM.PlantWeakRow(v.Bank, v.VictimRow, 400_000); err != nil {
+	fmt.Printf("step 3: hammering victim row %d (bank %d) with loads only...\n", v.VictimRow, v.Bank)
+	_, flipped, err := in.RunUntilFlip(192 * time.Millisecond)
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("step 3: hammering victim row %d (bank %d) with loads only...\n", v.VictimRow, v.Bank)
-	slice := m.Freq.Cycles(time.Millisecond)
-	for now := sim.Cycles(0); now < m.Freq.Cycles(192*time.Millisecond); now += slice {
-		if err := m.Run(now + slice); err != nil && !errors.Is(err, machine.ErrAllDone) {
-			log.Fatal(err)
-		}
-		if m.Mem.DRAM.FlipCount() > 0 {
-			break
-		}
-	}
-	if m.Mem.DRAM.FlipCount() == 0 {
+	if !flipped {
 		log.Fatal("no flip — calibration drift?")
 	}
 	f := m.Mem.DRAM.Flips()[0]
@@ -94,13 +69,13 @@ func main() {
 	// construction — but, as the paper notes, attackers retain other ways
 	// to learn physical layout.
 	fmt.Println("step 4: with /proc/pagemap restricted (the deployed kernel patch):")
-	m = newMachine()
-	m.Kernel.Pagemap.Restricted = true
-	b, err := attack.NewClflushFree(opts(m))
+	in = build(scenario.Spec{})
+	in.Machine.Kernel.Pagemap.Restricted = true
+	b, err := attack.NewClflushFree(in.AttackOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := m.Spawn(0, b); err != nil {
+	if _, err := in.Machine.Spawn(0, b); err != nil {
 		fmt.Printf("  attack setup fails: %v\n", err)
 	} else {
 		fmt.Println("  unexpected: attack built eviction sets without pagemap")

@@ -12,30 +12,24 @@ import (
 	"log"
 
 	"repro/internal/attack"
-	"repro/internal/cache"
 	"repro/internal/machine"
+	"repro/internal/scenario"
 )
 
 func main() {
 	log.SetFlags(0)
-	cfg := machine.DefaultConfig()
-	cfg.Cores = 2
-	m, err := machine.New(cfg)
+	in, err := scenario.Build(scenario.Spec{Cores: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
+	m := in.Machine
 
 	// The "shared library" page both processes map.
 	frame, err := m.Kernel.Alloc.Alloc()
 	if err != nil {
 		log.Fatal(err)
 	}
-	cc := attack.DefaultCovertConfig(attack.Options{
-		Mapper:     m.Mem.DRAM.Mapper(),
-		LLC:        cache.SandyBridgeConfig().Levels[2],
-		BufferMB:   16,
-		Contiguous: true,
-	})
+	cc := attack.DefaultCovertConfig(in.AttackOptions())
 	cc.SharedFrame = frame
 
 	msg := []byte("no clflush needed")

@@ -16,9 +16,9 @@ import (
 	"time"
 
 	"repro/internal/attack"
-	"repro/internal/cache"
 	"repro/internal/dram"
 	"repro/internal/machine"
+	"repro/internal/scenario"
 )
 
 const (
@@ -45,12 +45,11 @@ func (r *retargetable) Next() machine.Op {
 
 func main() {
 	log.SetFlags(0)
-	cfg := machine.DefaultConfig()
-	cfg.Cores = 1
-	m, err := machine.New(cfg)
+	in, err := scenario.Build(scenario.Spec{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	m := in.Machine
 	prog := &retargetable{}
 	proc, err := m.Spawn(0, prog)
 	if err != nil {
@@ -69,15 +68,12 @@ func main() {
 	baseCoord := mapper.Map(basePA)
 
 	// The module hammers rows inside its own (validated!) code segment.
+	opts := in.AttackOptions()
+	opts.AutoTarget, opts.BufferMB = false, codeMB
 	start := time.Now()
 	for trial := 0; trial < 60; trial++ {
-		victim := dram.Coord{Bank: baseCoord.Bank, Row: baseCoord.Row + 4 + trial*2}
-		a, err := attack.NewDoubleSidedFlush(attack.Options{
-			Mapper:   mapper,
-			LLC:      cache.SandyBridgeConfig().Levels[2],
-			Target:   attack.Target{Bank: victim.Bank, VictimRow: victim.Row},
-			BufferMB: codeMB,
-		})
+		opts.Target = attack.Target{Bank: baseCoord.Bank, VictimRow: baseCoord.Row + 4 + trial*2}
+		a, err := attack.NewDoubleSidedFlush(opts)
 		if err != nil {
 			log.Fatal(err)
 		}
