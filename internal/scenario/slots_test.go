@@ -67,9 +67,13 @@ func TestSlotsShardMergeByteIdentical(t *testing.T) {
 	const n = 9
 	run := func(_ context.Context, rep int) (uint64, error) { return slotVal(rep), nil }
 
+	// OnResult runs on the worker goroutines, so both maps take mu.
+	var mu sync.Mutex
 	golden := make(map[int]string, n)
 	opts := Options{OnResult: func(rep int, raw json.RawMessage) error {
+		mu.Lock()
 		golden[rep] = string(raw)
+		mu.Unlock()
 		return nil
 	}}
 	if _, _, err := RunSweep(context.Background(), n, opts, run); err != nil {
@@ -80,7 +84,6 @@ func TestSlotsShardMergeByteIdentical(t *testing.T) {
 	}
 
 	shards := [][]int{{0, 3, 8}, {1, 2}, {4, 5, 6, 7}}
-	var mu sync.Mutex
 	merged := make(map[int]string, n)
 	for _, shard := range shards {
 		sopts := Options{
