@@ -53,18 +53,10 @@ func Check(t testing.TB, name, got string) {
 		return
 	}
 	g, w := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := 0; ; i++ {
-		if i >= len(g) || i >= len(w) || g[i] != w[i] {
-			t.Errorf("%s drifted at line %d (%d lines, golden has %d)\ngot:  %q\nwant: %q\n(rerun with -update-golden to accept)",
-				path, i+1, len(g), len(w), line(g, i), line(w, i))
-			return
-		}
+	i := 0
+	for i < len(g) && i < len(w) && g[i] == w[i] {
+		i++
 	}
-}
-
-func line(lines []string, i int) string {
-	if i < len(lines) {
-		return lines[i]
-	}
-	return "<end of output>"
+	t.Errorf("%s differs from line %d (got %d lines, golden %d):\ngot:  %q\nwant: %q\n(rerun with -update-golden to accept)",
+		path, i+1, len(g), len(w), g[i:min(i+1, len(g))], w[i:min(i+1, len(w))])
 }

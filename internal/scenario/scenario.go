@@ -1,9 +1,10 @@
 // Package scenario is the declarative layer between the simulator's raw
 // building blocks (machine, attack, workload, defense, anvil) and everything
-// that runs experiments on them (internal/experiments, cmd/anvilsim,
-// cmd/tables, the examples). A Spec names *what* a run looks like — machine
-// mutations, workloads, attack, defense, horizon, seed — and Build turns it
-// into a ready-to-run Instance, so no caller assembles machines by hand.
+// that runs experiments on them (internal/experiments and every command and
+// example). A Spec names *what* a run looks like — machine mutations,
+// workloads, attack, defense, horizon, seed — and Build turns it into a
+// ready-to-run Instance; Build is the only caller of machine.New outside
+// tests, so no caller assembles machines by hand.
 //
 // The package also hosts the experiment registry (registry.go) and the
 // parallel seed-sharded runner (runner.go): RunMany fans replicates across a

@@ -364,11 +364,7 @@ func (s *Synthetic) NextRun(max int) []machine.Op {
 		if n := len(s.pending); n > 0 && s.pending[n-1].Kind == machine.OpDone {
 			break
 		}
-		op := s.gen()
-		s.pending = append(s.pending, op)
-		if op.Kind == machine.OpDone {
-			break
-		}
+		s.pending = append(s.pending, s.gen())
 	}
 	return s.pending
 }
