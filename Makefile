@@ -17,12 +17,14 @@ race:
 	$(GO) test -race -timeout 20m ./...
 
 # Ten seconds per fuzz target: enough to shake out regressions in the
-# mapper round-trip and cache-policy invariants without stalling CI.
+# mapper round-trip, cache-policy and lease-upload invariants without
+# stalling CI.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMapperRoundTrip -fuzztime 10s ./internal/dram
 	$(GO) test -run '^$$' -fuzz FuzzPolicyInvariants -fuzztime 10s ./internal/cache
 	$(GO) test -run '^$$' -fuzz FuzzFaultSpec -fuzztime 10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzJournal -fuzztime 10s ./internal/journal
+	$(GO) test -run '^$$' -fuzz FuzzLeaseUpload -fuzztime 10s ./internal/sweepd
 
 # The degraded-hardware experiments under the hardened runner: per-replicate
 # timeouts and keep-going failure reporting exercised end to end.
@@ -81,28 +83,29 @@ serve-smoke:
 # harness under the race detector: three real worker subprocesses sharing one
 # job, one SIGKILLed mid-replicate, one network-partitioned by the netchaos
 # proxy, with the artifact byte-diffed against an uninterrupted golden — plus
-# the SIGTERM graceful-handoff and in-process soft-stop variants. Then a
-# live-binary smoke: anvilserved -distribute plus two anvilworkerd processes
-# computing a shardable registry job, fetched over curl, everything drained
-# with SIGTERM.
+# the SIGTERM graceful-handoff and in-process soft-stop variants, and a
+# replicate that always fails ending its job instead of bouncing between
+# claims. Then a live-binary smoke: anvilserved -distribute (default timing)
+# plus two anvilworkerd processes asking for two slots per claim, computing a
+# shardable registry job, fetched over curl, everything drained with
+# SIGTERM.
 worker-smoke:
-	$(GO) test -race -run 'TestWorkerFleetChaos|TestWorkerSIGTERMGraceful|TestSoftStopFinishesInFlightReplicate' -v ./internal/workerd
+	$(GO) test -race -run 'TestWorkerFleetChaos|TestWorkerSIGTERMGraceful|TestSoftStopFinishesInFlightReplicate|TestFailingReplicateEndsJob' -v ./internal/workerd
 	rm -rf /tmp/anvil-worker-smoke && mkdir -p /tmp/anvil-worker-smoke
 	$(GO) build -o /tmp/anvil-worker-smoke/anvilserved ./cmd/anvilserved
 	$(GO) build -o /tmp/anvil-worker-smoke/anvilworkerd ./cmd/anvilworkerd
 	set -e; \
 	/tmp/anvil-worker-smoke/anvilserved -addr 127.0.0.1:0 \
 		-data /tmp/anvil-worker-smoke/data \
-		-distribute -lease-chunk 2 -worker-grace 60s \
-		-portfile /tmp/anvil-worker-smoke/port & \
+		-distribute -portfile /tmp/anvil-worker-smoke/port & \
 	spid=$$!; trap 'kill $$spid 2>/dev/null' EXIT; \
 	for i in $$(seq 1 100); do \
 		[ -s /tmp/anvil-worker-smoke/port ] && break; sleep 0.1; done; \
 	addr=$$(cat /tmp/anvil-worker-smoke/port); \
 	/tmp/anvil-worker-smoke/anvilworkerd -coordinator "http://$$addr" -id smoke-w1 -seed 1 \
-		> /tmp/anvil-worker-smoke/w1.log 2>&1 & w1=$$!; \
+		-max-slots 2 > /tmp/anvil-worker-smoke/w1.log 2>&1 & w1=$$!; \
 	/tmp/anvil-worker-smoke/anvilworkerd -coordinator "http://$$addr" -id smoke-w2 -seed 2 \
-		> /tmp/anvil-worker-smoke/w2.log 2>&1 & w2=$$!; \
+		-max-slots 2 > /tmp/anvil-worker-smoke/w2.log 2>&1 & w2=$$!; \
 	trap 'kill $$spid $$w1 $$w2 2>/dev/null' EXIT; \
 	id=$$(curl -sf -X POST "http://$$addr/v1/jobs" \
 		-d '{"experiment":"fault-matrix","quick":true,"seed":7}' \

@@ -7,7 +7,7 @@
 //	anvilserved -data DIR [-addr HOST:PORT] [-queue N] [-workers N]
 //	            [-parallel N] [-quota-reps N] [-quota-wall D]
 //	            [-drain-timeout D] [-portfile PATH]
-//	            [-distribute] [-lease-ttl D] [-lease-chunk N] [-worker-grace D]
+//	            [-distribute] [-lease-ttl D]
 //
 // Every submitted job spec is journaled and fsynced under -data before the
 // submission is acknowledged, and every job state transition is an
@@ -20,10 +20,13 @@
 //
 // With -distribute the daemon also coordinates a fleet of anvilworkerd
 // processes: shardable jobs get a distribution phase where workers claim
-// replicate slot leases, compute them, and upload results into the job's
-// sweep journal. A coordinator that never hears from a worker falls back to
-// computing in-process after -worker-grace of lease-plane silence, so
-// -distribute is always safe to enable.
+// replicate slot leases (at most 4 slots per claim; anvilworkerd -max-slots
+// asks for fewer), compute them, and upload results into the job's sweep
+// journal. The phase ends when every slot is uploaded or reported failed by
+// a worker, or after one -lease-ttl with no lease traffic for the job; the
+// coordinator then computes whatever is left in-process — a reported
+// failure included, so the job fails or keeps going exactly as it would
+// without a fleet. -distribute is therefore always safe to enable.
 //
 // API (all JSON):
 //
@@ -36,10 +39,14 @@
 //	GET  /v1/quota                  the caller's charged usage (X-API-Key)
 //	GET  /v1/healthz                readiness: queue depth, draining flag,
 //	                                lease counts, journal-lock liveness
-//	POST /v1/leases/claim           claim a slot lease (-distribute only;
-//	                                204 + Retry-After when no work is free)
+//
+// With -distribute only (404 otherwise):
+//
+//	POST /v1/leases/claim           claim a slot lease (204 + Retry-After
+//	                                when no work is free)
 //	POST /v1/leases/{id}/renew      heartbeat a lease; 410 once it expired
-//	POST /v1/leases/{id}/results    upload one replicate result (idempotent)
+//	POST /v1/leases/{id}/results    upload one replicate's result, or report
+//	                                it failed (idempotent)
 //	POST /v1/leases/{id}/release    give a lease back explicitly
 package main
 
@@ -70,9 +77,7 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", sweepd.DefaultDrainTimeout, "graceful drain deadline on SIGTERM/SIGINT")
 		portfile     = flag.String("portfile", "", "write the bound listen address to this file (for harnesses using port 0)")
 		distribute   = flag.Bool("distribute", false, "open the worker lease plane (POST /v1/leases/...) for anvilworkerd fleets")
-		leaseTTL     = flag.Duration("lease-ttl", sweepd.DefaultLeaseTTL, "slot-lease lifetime without a heartbeat before reassignment")
-		leaseChunk   = flag.Int("lease-chunk", sweepd.DefaultLeaseChunk, "max replicate slots granted per claim")
-		workerGrace  = flag.Duration("worker-grace", sweepd.DefaultWorkerGrace, "lease-plane silence before a sharded job falls back to in-process execution")
+		leaseTTL     = flag.Duration("lease-ttl", sweepd.DefaultLeaseTTL, "slot-lease lifetime without a heartbeat, and a sharded job's wait without lease traffic before it computes in-process")
 	)
 	flag.Parse()
 	if *data == "" {
@@ -84,14 +89,12 @@ func main() {
 		Addr: *addr,
 		Data: *data,
 		Opts: sweepd.ServerOptions{
-			QueueDepth:  *queue,
-			Workers:     *workers,
-			Parallel:    *parallel,
-			Quota:       sweepd.Quota{Replicates: *quotaReps, WallClock: *quotaWall},
-			Distribute:  *distribute,
-			LeaseTTL:    *leaseTTL,
-			LeaseChunk:  *leaseChunk,
-			WorkerGrace: *workerGrace,
+			QueueDepth: *queue,
+			Workers:    *workers,
+			Parallel:   *parallel,
+			Quota:      sweepd.Quota{Replicates: *quotaReps, WallClock: *quotaWall},
+			Distribute: *distribute,
+			LeaseTTL:   *leaseTTL,
 		},
 		DrainTimeout: *drainTimeout,
 		Portfile:     *portfile,

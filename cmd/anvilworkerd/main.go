@@ -38,7 +38,7 @@ func main() {
 		coordinator = flag.String("coordinator", "", "anvilserved base URL, e.g. http://127.0.0.1:8356 (required)")
 		id          = flag.String("id", "", "worker name in leases and logs (default worker-<pid>)")
 		apiKey      = flag.String("api-key", "", "X-API-Key identifying this worker")
-		maxSlots    = flag.Int("max-slots", 0, "slots per claim (0 = coordinator's chunk size)")
+		maxSlots    = flag.Int("max-slots", 0, "slots per claim (0 = the coordinator's maximum, 4)")
 		poll        = flag.Duration("poll", workerd.DefaultPoll, "claim polling interval while idle")
 		grace       = flag.Duration("grace", workerd.DefaultGrace, "bound on finishing in-flight work after SIGTERM")
 		seed        = flag.Uint64("seed", 0, "retry-jitter seed (vary across a fleet)")

@@ -46,7 +46,6 @@ type bankState struct {
 	lastActRow int // previously *activated* row (for the alternation bonus)
 	lastAccess sim.Cycles
 	busyUntil  sim.Cycles
-	acts       uint64
 }
 
 // Stats aggregates module activity.
@@ -62,9 +61,6 @@ type Stats struct {
 	BankQueue     sim.Cycles // cycles spent queued behind a busy bank
 	Flips         int
 }
-
-// Activates reports total row activations (misses + conflicts).
-func (s Stats) Activates() uint64 { return s.RowMisses + s.RowConflicts }
 
 // AccessResult describes the outcome of one DRAM access.
 type AccessResult struct {
@@ -585,7 +581,6 @@ func (m *Module) activate(c Coord, now sim.Cycles) {
 	b := &m.banks[c.Bank]
 	b.openRow = c.Row
 	b.lastActRow = c.Row
-	b.acts++
 	m.stats.Activations++
 
 	// The activated row's own charge is restored. An unallocated bank has no
@@ -671,6 +666,3 @@ func (m *Module) disturb(bank, row int, side int8, scale float64, now sim.Cycles
 
 // OpenRow reports the currently open row in a bank (-1 if precharged).
 func (m *Module) OpenRow(bank int) int { return m.banks[bank].openRow }
-
-// BankActivations reports the number of activations a bank has seen.
-func (m *Module) BankActivations(bank int) uint64 { return m.banks[bank].acts }

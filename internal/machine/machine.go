@@ -398,17 +398,6 @@ func (m *Machine) next() *Core {
 	return best
 }
 
-// Step executes one operation on the earliest active core. It returns false
-// when no core is active.
-func (m *Machine) Step() bool {
-	c := m.next()
-	if c == nil {
-		return false
-	}
-	m.stepCore(c)
-	return true
-}
-
 // stepCore executes one operation on c, which the caller has established is
 // the earliest active core. It returns the error the step left on c, if
 // any — a step can only fault the core it ran on, so callers need not sweep

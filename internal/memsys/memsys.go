@@ -133,10 +133,11 @@ type RunResult struct {
 // caller guarantees *now < stopAt on entry.
 //
 // Overflow delivery stays exact without per-access checks: a budget of
-// overflow-free accesses from the PMU lets the hot loop use ObserveCounted,
-// falling back to a full Observe whenever the budget is spent, and any
-// overflow-configuration change (arming from a sample hook, delivery,
-// re-arming from a handler) re-prices the budget.
+// overflow-free accesses from the PMU lets the hot loop count with
+// CountAccess and sample through WantSample/TakeSample, falling back to a
+// full Observe whenever the budget is spent, and any overflow-configuration
+// change (arming from a sample hook, delivery, re-arming from a handler)
+// re-prices the budget.
 func (s *System) AccessRun(reqs []Req, task, core int, now *sim.Cycles, stopAt sim.Cycles, kgen *uint64) RunResult {
 	var r RunResult
 	p := s.PMU
@@ -170,8 +171,9 @@ func (s *System) AccessRun(reqs []Req, task, core int, now *sim.Cycles, stopAt s
 				pgen = p.ConfigGen()
 				bound = p.AccessesUntilOverflow()
 			} else {
-				// ObserveCounted, unrolled so the Access record is only built
-				// when a PEBS record will actually be taken.
+				// Observe minus the overflow check, unrolled so the Access
+				// record is only built when a PEBS record will actually be
+				// taken.
 				p.CountAccess(write, res.LLCMiss)
 				if p.WantSample(write, res.Latency, t) {
 					p.TakeSample(pmu.Access{

@@ -375,22 +375,11 @@ func (p *PMU) Observe(a Access) {
 	}
 }
 
-// ObserveCounted is Observe minus overflow delivery: counters advance and the
-// samplers run, but armed overflows are not checked. Only valid while the
-// caller holds an AccessesUntilOverflow budget (and ConfigGen is unchanged),
-// which guarantees no counter can reach its target on this access.
-func (p *PMU) ObserveCounted(a Access) {
-	p.CountAccess(a.Write, a.LLCMiss)
-	if p.WantSample(a.Write, a.Latency, a.Now) {
-		p.sample(a)
-	}
-}
-
 // CountAccess advances the event counters for one access (write/miss
-// classification) without overflow checks — the counter half of
-// ObserveCounted, split out and inlineable so batched callers can classify
-// first and build a full Access record only when WantSample says a PEBS
-// record will actually be taken.
+// classification) without overflow checks — Observe's counter half, split
+// out and inlineable so batched callers holding an AccessesUntilOverflow
+// budget can classify first and build a full Access record only when
+// WantSample says a PEBS record will actually be taken.
 func (p *PMU) CountAccess(write, llcMiss bool) {
 	if write {
 		p.counts[EvStores]++

@@ -14,7 +14,6 @@
 package scenario
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -397,35 +396,6 @@ func (in *Instance) RunToCompletion() error {
 	err := in.Machine.Run(1 << 62)
 	if err != nil && !errors.Is(err, machine.ErrAllDone) {
 		return err
-	}
-	return nil
-}
-
-// RunForCtx is RunFor with cooperative cancellation: it advances the
-// machine in 1 ms simulated slices and aborts with ctx.Err() at the first
-// slice boundary after ctx is done. Slice boundaries are fixed simulated
-// instants, so cancellation never perturbs the results of runs that
-// complete.
-func (in *Instance) RunForCtx(ctx context.Context, d time.Duration) error {
-	m := in.Machine
-	end := m.Time() + m.Freq.Cycles(d)
-	slice := m.Freq.Cycles(time.Millisecond)
-	for now := m.Time(); now < end; {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		next := now + slice
-		if next > end {
-			next = end
-		}
-		err := m.Run(next)
-		if errors.Is(err, machine.ErrAllDone) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		now = next
 	}
 	return nil
 }

@@ -114,22 +114,32 @@ func (c *Client) retry(ctx context.Context, fn func() error) error {
 // do issues one request under the retry policy and decodes a JSON body into
 // out (when non-nil). Non-2xx responses come back as *StatusError.
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
-	return c.retry(ctx, func() error { return c.doOnce(ctx, method, path, body, out) })
+	return c.retry(ctx, func() error {
+		_, _, raw, err := c.doOnce(ctx, method, path, body)
+		if err != nil || out == nil || len(raw) == 0 {
+			return err
+		}
+		if err := json.Unmarshal(raw, out); err != nil {
+			return fmt.Errorf("sweepd: decoding %s %s response: %w", method, path, err)
+		}
+		return nil
+	})
 }
 
-// doOnce is a single request attempt.
-func (c *Client) doOnce(ctx context.Context, method, path string, body, out any) error {
+// doOnce is a single request attempt, returning a 2xx response's status
+// code, headers and body. Non-2xx responses come back as *StatusError.
+func (c *Client) doOnce(ctx context.Context, method, path string, body any) (int, http.Header, []byte, error) {
 	var rd io.Reader
 	if body != nil {
 		raw, err := json.Marshal(body)
 		if err != nil {
-			return fmt.Errorf("sweepd: encoding request: %w", err)
+			return 0, nil, nil, fmt.Errorf("sweepd: encoding request: %w", err)
 		}
 		rd = bytes.NewReader(raw)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, strings.TrimRight(c.Base, "/")+path, rd)
 	if err != nil {
-		return err
+		return 0, nil, nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -139,22 +149,17 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body, out any)
 	}
 	resp, err := c.http().Do(req)
 	if err != nil {
-		return fmt.Errorf("%w: %w", errClientTransport, err)
+		return 0, nil, nil, fmt.Errorf("%w: %w", errClientTransport, err)
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return fmt.Errorf("%w: reading response: %w", errClientTransport, err)
+		return 0, nil, nil, fmt.Errorf("%w: reading response: %w", errClientTransport, err)
 	}
 	if resp.StatusCode/100 != 2 {
-		return statusError(resp, raw)
+		return 0, nil, nil, statusError(resp, raw)
 	}
-	if out != nil && len(raw) > 0 {
-		if err := json.Unmarshal(raw, out); err != nil {
-			return fmt.Errorf("sweepd: decoding %s %s response: %w", method, path, err)
-		}
-	}
-	return nil
+	return resp.StatusCode, resp.Header, raw, nil
 }
 
 // ClaimLease asks the coordinator for a slot lease. (nil, nil) means no
@@ -246,43 +251,20 @@ func (c *Client) Quota(ctx context.Context) (QuotaStatus, error) {
 // returns (nil, status, nil); a failed job returns a *StatusError.
 func (c *Client) Result(ctx context.Context, id string) (data []byte, st JobStatus, err error) {
 	err = c.retry(ctx, func() error {
-		data, st, err = c.resultOnce(ctx, id)
-		return err
+		code, h, raw, err := c.doOnce(ctx, http.MethodGet, "/v1/jobs/"+id+"/result", nil)
+		switch {
+		case err != nil:
+			return err
+		case code == http.StatusAccepted:
+			if err := json.Unmarshal(raw, &st); err != nil {
+				return fmt.Errorf("sweepd: decoding pending result status: %w", err)
+			}
+			return nil
+		}
+		data, st = raw, JobStatus{ID: id, State: JobState(h.Get("X-Job-State"))}
+		return nil
 	})
 	return data, st, err
-}
-
-// resultOnce is a single artifact fetch attempt.
-func (c *Client) resultOnce(ctx context.Context, id string) ([]byte, JobStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		strings.TrimRight(c.Base, "/")+"/v1/jobs/"+id+"/result", nil)
-	if err != nil {
-		return nil, JobStatus{}, err
-	}
-	if c.APIKey != "" {
-		req.Header.Set("X-API-Key", c.APIKey)
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, JobStatus{}, fmt.Errorf("%w: %w", errClientTransport, err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, JobStatus{}, fmt.Errorf("%w: reading response: %w", errClientTransport, err)
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return raw, JobStatus{ID: id, State: JobState(resp.Header.Get("X-Job-State"))}, nil
-	case http.StatusAccepted:
-		var st JobStatus
-		if err := json.Unmarshal(raw, &st); err != nil {
-			return nil, JobStatus{}, fmt.Errorf("sweepd: decoding pending result status: %w", err)
-		}
-		return nil, st, nil
-	default:
-		return nil, JobStatus{}, statusError(resp, raw)
-	}
 }
 
 // DefaultPoll is the Wait polling interval when none is given.
@@ -322,7 +304,7 @@ func (c *Client) FetchResult(ctx context.Context, id string, poll time.Duration)
 		if st.State == StateFailed {
 			return nil, fmt.Errorf("sweepd: job %s failed: %s", id, st.Error)
 		}
-		data, pending, err := c.Result(ctx, id)
+		data, _, err := c.Result(ctx, id)
 		if err != nil {
 			return nil, err
 		}
@@ -330,7 +312,6 @@ func (c *Client) FetchResult(ctx context.Context, id string, poll time.Duration)
 			return data, nil
 		}
 		// Re-queued for recompute; wait again.
-		_ = pending
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -3,27 +3,23 @@ package sweepd
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/scenario"
 )
 
-// Distribution defaults, used when the corresponding ServerOptions field is
-// zero.
-const (
-	// DefaultLeaseTTL is how long a granted lease lives without a renewal.
-	// Workers renew at TTL/3, so one lost heartbeat never kills a lease but a
-	// dead or partitioned worker loses its slots within one TTL.
-	DefaultLeaseTTL = 2 * time.Second
-	// DefaultLeaseChunk is the most slots one claim grants. Small chunks keep
-	// reassignment cheap when a worker dies; large ones amortize polling.
-	DefaultLeaseChunk = 4
-	// DefaultWorkerGrace is how long a sharded job waits with no lease
-	// activity before the coordinator computes the remaining slots itself.
-	DefaultWorkerGrace = 2 * time.Second
-)
+// DefaultLeaseTTL is how long a granted lease lives without a renewal, used
+// when ServerOptions.LeaseTTL is zero. Workers renew at TTL/3, so one lost
+// heartbeat never kills a lease but a dead or partitioned worker loses its
+// slots within one TTL — and a job whose workers are all gone leaves its
+// distribution phase one TTL after their last lease traffic.
+const DefaultLeaseTTL = 2 * time.Second
+
+// maxLeaseSlots is the most slots one claim grants. Small grants keep
+// reassignment cheap when a worker dies; a worker asks for fewer with
+// ClaimRequest.MaxSlots.
+const maxLeaseSlots = 4
 
 // ClaimRequest is the body of POST /v1/leases/claim: a worker asking for a
 // share of a sharded job's replicates.
@@ -31,7 +27,7 @@ type ClaimRequest struct {
 	// Worker names the claiming worker (for logs and lease attribution).
 	Worker string `json:"worker"`
 	// MaxSlots caps how many replicate slots this claim may grant; zero
-	// means the server's chunk size.
+	// (or anything above 4) means the server's maximum of 4.
 	MaxSlots int `json:"max_slots,omitempty"`
 }
 
@@ -56,18 +52,25 @@ type RenewResponse struct {
 }
 
 // UploadRequest is the body of POST /v1/leases/{id}/results: one computed
-// replicate's canonical JSON. The (JobID, Replicate) pair — not the lease —
+// replicate's canonical JSON, or — in Failed, in place of Result — why the
+// worker cannot produce it. The (JobID, Replicate) pair — not the lease —
 // keys idempotency: a retried or zombie upload of a slot that already has a
 // result is acknowledged as a duplicate and changes nothing.
 type UploadRequest struct {
 	JobID     string          `json:"job_id"`
 	Replicate int             `json:"replicate"`
-	Result    json.RawMessage `json:"result"`
+	Result    json.RawMessage `json:"result,omitempty"`
+	// Failed reports a replicate that errored or panicked on the worker, or
+	// an experiment missing from its registry. The slot is never leased
+	// again; the finalize run computes it, so the job fails (or records its
+	// keep-going row) exactly as an in-process run would.
+	Failed string `json:"failed,omitempty"`
 }
 
-// UploadResponse acknowledges an upload. Duplicate marks a result the
-// coordinator already had (journaled exactly once, charged exactly once);
-// Remaining counts the job's slots still without results.
+// UploadResponse acknowledges an upload. Duplicate marks a slot the
+// coordinator had already closed (a result journaled and charged exactly
+// once, or a failure already reported); Remaining counts the job's slots
+// still open — neither journaled nor failed.
 type UploadResponse struct {
 	Duplicate bool `json:"duplicate,omitempty"`
 	Remaining int  `json:"remaining"`
@@ -79,7 +82,6 @@ type UploadResponse struct {
 type lease struct {
 	id      string
 	jobID   string
-	worker  string
 	slots   []int
 	expires time.Time
 }
@@ -94,26 +96,25 @@ type shardState struct {
 	// previous run or uploaded during this one. Uploads against done slots
 	// are idempotent no-ops.
 	done map[int]bool
-	// uploaded marks the subset of done slots whose results arrived from
-	// workers during this run. The finalizing sweep's progress filter needs
-	// it: these slots were already counted (as fresh) at upload time.
-	uploaded map[int]bool
+	// failed marks slots a worker reported it cannot compute. They are
+	// closed like done ones — never leased again — but left for the
+	// finalize run; a later valid result still lands and clears the mark.
+	failed map[int]bool
 	// assigned maps a slot to the live lease that owns it.
 	assigned map[int]string
-	// activity is the last claim grant, renewal or upload touching this job;
-	// the grace-window fallback keys off it.
+	// activity is the phase opening or the last claim grant, renewal,
+	// release or upload touching this job; the phase-end rule keys off it.
 	activity time.Time
 }
 
-// remainingLocked counts slots without results.
-func (st *shardState) remainingLocked() int { return st.n - len(st.done) }
+// remainingLocked counts open slots: neither journaled nor failed.
+func (st *shardState) remainingLocked() int { return st.n - len(st.done) - len(st.failed) }
 
 // A leaseTable is the coordinator's lease plane: which jobs are currently
 // sharded, which worker holds which slots, and when each lease dies. All
 // methods are safe for concurrent use.
 type leaseTable struct {
-	ttl   time.Duration
-	chunk int
+	ttl time.Duration
 
 	mu     sync.Mutex
 	seq    uint64
@@ -122,36 +123,34 @@ type leaseTable struct {
 	leases map[string]*lease
 }
 
-// newLeaseTable builds the table with resolved defaults.
-func newLeaseTable(ttl time.Duration, chunk int) *leaseTable {
+// newLeaseTable builds the table with a resolved TTL.
+func newLeaseTable(ttl time.Duration) *leaseTable {
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
 	}
-	if chunk <= 0 {
-		chunk = DefaultLeaseChunk
-	}
 	return &leaseTable{
 		ttl:    ttl,
-		chunk:  chunk,
 		jobs:   map[string]*shardState{},
 		leases: map[string]*lease{},
 	}
 }
 
 // register opens a job's distribution phase. pre lists the replicate slots
-// already journaled by earlier runs; they are done before any worker claims.
+// already journaled by earlier runs; they are done before any worker
+// claims, and they count as the job's resumed replicates here, once.
 func (t *leaseTable) register(job *Job, n int, j *scenario.Journal, pre []int, now time.Time) {
 	st := &shardState{
 		job:      job,
 		n:        n,
 		journal:  j,
 		done:     make(map[int]bool, n),
-		uploaded: map[int]bool{},
+		failed:   map[int]bool{},
 		assigned: map[int]string{},
 		activity: now,
 	}
 	for _, rep := range pre {
 		st.done[rep] = true
+		job.observe(scenario.ProgressEvent{Rep: rep, Resumed: true})
 	}
 	t.mu.Lock()
 	t.jobs[job.ID] = st
@@ -159,16 +158,11 @@ func (t *leaseTable) register(job *Job, n int, j *scenario.Journal, pre []int, n
 	t.mu.Unlock()
 }
 
-// unregister closes a job's distribution phase, reaping its leases, and
-// returns the set of slots uploaded by workers during this run. Late zombie
-// uploads for the job answer 410 Gone from here on.
-func (t *leaseTable) unregister(jobID string) map[int]bool {
+// unregister closes a job's distribution phase, reaping its leases. Late
+// zombie uploads for the job answer 410 Gone from here on.
+func (t *leaseTable) unregister(jobID string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st, ok := t.jobs[jobID]
-	if !ok {
-		return nil
-	}
 	delete(t.jobs, jobID)
 	for i, id := range t.order {
 		if id == jobID {
@@ -181,7 +175,6 @@ func (t *leaseTable) unregister(jobID string) map[int]bool {
 			delete(t.leases, id)
 		}
 	}
-	return st.uploaded
 }
 
 // expireLocked reaps every lease whose TTL has passed, returning its
@@ -204,9 +197,9 @@ func (t *leaseTable) expireLocked(now time.Time) {
 
 // claim grants the next free slots of the oldest sharded job, or returns
 // (nil, false) when no work is available.
-func (t *leaseTable) claim(worker string, maxSlots int, now time.Time) (*ClaimResponse, bool) {
-	if maxSlots <= 0 || maxSlots > t.chunk {
-		maxSlots = t.chunk
+func (t *leaseTable) claim(maxSlots int, now time.Time) (*ClaimResponse, bool) {
+	if maxSlots <= 0 || maxSlots > maxLeaseSlots {
+		maxSlots = maxLeaseSlots
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -215,7 +208,7 @@ func (t *leaseTable) claim(worker string, maxSlots int, now time.Time) (*ClaimRe
 		st := t.jobs[jobID]
 		var free []int
 		for slot := 0; slot < st.n && len(free) < maxSlots; slot++ {
-			if !st.done[slot] && st.assigned[slot] == "" {
+			if !st.done[slot] && !st.failed[slot] && st.assigned[slot] == "" {
 				free = append(free, slot)
 			}
 		}
@@ -226,7 +219,6 @@ func (t *leaseTable) claim(worker string, maxSlots int, now time.Time) (*ClaimRe
 		l := &lease{
 			id:      fmt.Sprintf("l-%06d", t.seq),
 			jobID:   jobID,
-			worker:  worker,
 			slots:   free,
 			expires: now.Add(t.ttl),
 		}
@@ -287,66 +279,62 @@ func (t *leaseTable) release(id string, now time.Time) {
 	}
 }
 
-// upload journals one worker-computed replicate, idempotently keyed by
-// (job, slot). The lease ID is deliberately not checked against the slot:
-// a zombie worker whose lease expired mid-replicate may still deliver a
-// result, and since replicates are deterministic its bytes equal whatever a
-// reassigned worker would upload — first write wins, every later one is a
-// duplicate. Novel uploads are counted into the job's progress (as fresh
-// work) exactly once, here.
-func (t *leaseTable) upload(jobID string, rep int, result json.RawMessage, now time.Time) (UploadResponse, error) {
+// upload closes one slot of a sharded job, idempotently keyed by (job,
+// slot): it journals a worker-computed result, or marks the slot failed.
+// The lease ID is deliberately not checked against the slot: a zombie
+// worker whose lease expired mid-replicate may still deliver a result, and
+// since replicates are deterministic its bytes equal whatever a reassigned
+// worker would upload — first write wins, every later one is a duplicate.
+// A result counts into the job's progress, as fresh work, exactly once,
+// here; a result for a failed slot still lands and clears the failure.
+func (t *leaseTable) upload(req UploadRequest, now time.Time) (UploadResponse, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st, ok := t.jobs[jobID]
+	st, ok := t.jobs[req.JobID]
 	if !ok {
 		return UploadResponse{}, errGone
 	}
-	if rep < 0 || rep >= st.n {
+	rep, failed := req.Replicate, req.Failed != ""
+	switch {
+	case rep < 0 || rep >= st.n:
 		return UploadResponse{}, fmt.Errorf("replicate %d out of range [0,%d)", rep, st.n)
-	}
-	if len(result) == 0 || string(result) == "null" || !json.Valid(result) {
+	case failed && len(req.Result) != 0:
+		return UploadResponse{}, fmt.Errorf("replicate %d: an upload carries a result or a failure, not both", rep)
+	case !failed && (len(req.Result) == 0 || string(req.Result) == "null" || !json.Valid(req.Result)):
 		return UploadResponse{}, fmt.Errorf("replicate %d needs a non-null JSON result", rep)
 	}
-	if st.done[rep] {
+	if st.done[rep] || (failed && st.failed[rep]) {
 		return UploadResponse{Duplicate: true, Remaining: st.remainingLocked()}, nil
 	}
-	if err := st.journal.Record(rep, result, 0); err != nil {
-		return UploadResponse{}, fmt.Errorf("journaling replicate %d: %w", rep, err)
+	if failed {
+		st.failed[rep] = true
+	} else {
+		if err := st.journal.Record(rep, req.Result, 0); err != nil {
+			return UploadResponse{}, fmt.Errorf("journaling replicate %d: %w", rep, err)
+		}
+		st.done[rep] = true
+		delete(st.failed, rep)
+		st.job.observe(scenario.ProgressEvent{Rep: rep})
 	}
-	st.done[rep] = true
-	st.uploaded[rep] = true
 	delete(st.assigned, rep)
 	st.activity = now
-	st.job.observe(scenario.ProgressEvent{Rep: rep})
 	return UploadResponse{Remaining: st.remainingLocked()}, nil
 }
 
-// shardProgress is one distribution-phase poll: how many slots still lack
-// results, how many live leases the job has, and how long the job has been
-// idle (no grant, renewal or upload).
-type shardProgress struct {
-	remaining int
-	active    int
-	idle      time.Duration
-}
-
-// poll snapshots a sharded job's progress for the coordinator's wait loop,
-// reaping expired leases on the way.
-func (t *leaseTable) poll(jobID string, now time.Time) (shardProgress, bool) {
+// poll reports whether a sharded job's distribution phase is over: every
+// slot is closed, or the job has had no lease traffic for one TTL. A live
+// lease always had its grant or last renewal — both traffic — within one
+// TTL, so an idle TTL also means no live lease: the job's workers are gone.
+// open counts the slots still neither journaled nor failed.
+func (t *leaseTable) poll(jobID string, now time.Time) (open int, over bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.expireLocked(now)
 	st, ok := t.jobs[jobID]
 	if !ok {
-		return shardProgress{}, false
+		return 0, true
 	}
-	p := shardProgress{remaining: st.remainingLocked(), idle: now.Sub(st.activity)}
-	for _, l := range t.leases { //lint:allow maporder counting only
-		if l.jobID == jobID {
-			p.active++
-		}
-	}
-	return p, true
+	open = st.remainingLocked()
+	return open, open == 0 || now.Sub(st.activity) >= t.ttl
 }
 
 // counts reports the table's size for the readiness probe: live leases and
@@ -361,13 +349,3 @@ func (t *leaseTable) counts(now time.Time) (activeLeases, shardedJobs int) {
 // errGone marks requests against a lease or distribution phase that no
 // longer exists; handlers map it to 410 Gone.
 var errGone = fmt.Errorf("sweepd: lease or distribution phase is gone")
-
-// sortedSlots renders a slot set ascending, for logs and tests.
-func sortedSlots(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for slot := range set { //lint:allow maporder sorted immediately below
-		out = append(out, slot)
-	}
-	sort.Ints(out)
-	return out
-}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -78,27 +79,57 @@ func (lh *leaseHTTP) upload(leaseID, jobID string, rep int, result any) (UploadR
 	return ack, code
 }
 
+// renewEvery heartbeats a lease from a goroutine until the returned stop
+// function is called; stop fails the test if a renewal was refused.
+func (lh *leaseHTTP) renewEvery(id string, every time.Duration) (stop func()) {
+	done := make(chan struct{})
+	refused := make(chan int, 1)
+	go func() {
+		defer close(refused)
+		tick := time.NewTicker(every)
+		defer tick.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+			}
+			resp, err := http.Post(lh.base+"/v1/leases/"+id+"/renew", "application/json", strings.NewReader("{}"))
+			if err != nil {
+				refused <- 0
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				refused <- resp.StatusCode
+				return
+			}
+		}
+	}()
+	return func() {
+		close(done)
+		if code, ok := <-refused; ok {
+			lh.t.Fatalf("renewing lease %s: status %d", id, code)
+		}
+	}
+}
+
 // repVal is what one sweepd-test-* replicate computes — the worker-side
 // half of the determinism contract.
 func repVal(seed uint64, rep int) uint64 { return scenario.ReplicateSeed(seed, rep) % 1_000_003 }
 
-// distOpts is the lease-plane test server configuration: distribution on, a
-// quick TTL for expiry tests, and a long grace so the coordinator never
-// steals the slots back mid-test.
-func distOpts(ttl time.Duration, chunk int) ServerOptions {
-	return ServerOptions{
-		Distribute:  true,
-		LeaseTTL:    ttl,
-		LeaseChunk:  chunk,
-		WorkerGrace: 30 * time.Second,
-	}
+// distOpts is the lease-plane test server configuration: distribution on
+// with the given TTL — which is also how long a sharded job waits without
+// lease traffic before the coordinator computes its open slots itself.
+func distOpts(ttl time.Duration) ServerOptions {
+	return ServerOptions{Distribute: true, LeaseTTL: ttl}
 }
 
 // TestLeaseLifecycle drives the happy path over the wire: claim every slot,
 // upload every result, watch the job finish with the exact artifact an
 // in-process run produces and exactly one full quota charge.
 func TestLeaseLifecycle(t *testing.T) {
-	svc := startService(t, t.TempDir(), distOpts(2*time.Second, 8))
+	svc := startService(t, t.TempDir(), distOpts(2*time.Second))
 	svc.client.APIKey = "alice"
 	spec := JobSpec{Experiment: expFast, Seed: 11}
 	golden := goldenArtifact(t, spec)
@@ -150,7 +181,7 @@ func TestLeaseLifecycle(t *testing.T) {
 // lost the lease — delivers the same slot late. The caller must be charged
 // for the slot exactly once and the artifact must be untouched.
 func TestZombieUploadChargesOnce(t *testing.T) {
-	svc := startService(t, t.TempDir(), distOpts(100*time.Millisecond, 2))
+	svc := startService(t, t.TempDir(), distOpts(100*time.Millisecond))
 	svc.client.APIKey = "bob"
 	spec := JobSpec{Experiment: expFast, Seed: 23}
 	golden := goldenArtifact(t, spec)
@@ -163,11 +194,18 @@ func TestZombieUploadChargesOnce(t *testing.T) {
 	lh := &leaseHTTP{t: t, base: svc.http.URL}
 
 	// Worker A claims slots {0,1}, uploads 0, then goes silent: its lease
-	// expires and slot 1 returns to the pool.
+	// expires and slot 1 returns to the pool. Worker B holds slots {2,3}
+	// and keeps renewing, so the job stays in its distribution phase — an
+	// idle job would fall back in-process after one TTL.
 	a := lh.claim("zombie", 2)
 	if len(a.Slots) != 2 || a.Slots[0] != 0 || a.Slots[1] != 1 {
 		t.Fatalf("first claim granted %v, want [0 1]", a.Slots)
 	}
+	b := lh.claim("healthy", 2)
+	if len(b.Slots) != 2 || b.Slots[0] != 2 || b.Slots[1] != 3 {
+		t.Fatalf("second claim granted %v, want [2 3]", b.Slots)
+	}
+	stopRenew := lh.renewEvery(b.LeaseID, 20*time.Millisecond)
 	if ack, code := lh.upload(a.LeaseID, a.JobID, 0, repVal(spec.Seed, 0)); code != http.StatusOK || ack.Duplicate {
 		t.Fatalf("upload slot 0: code %d ack %+v", code, ack)
 	}
@@ -177,12 +215,12 @@ func TestZombieUploadChargesOnce(t *testing.T) {
 		t.Fatalf("renewing an expired lease: status %d, want %d", code, http.StatusGone)
 	}
 
-	// Worker B claims the freed slot 1 (plus slot 2) and completes slot 1.
-	b := lh.claim("healthy", 2)
-	if len(b.Slots) != 2 || b.Slots[0] != 1 || b.Slots[1] != 2 {
-		t.Fatalf("reassignment claim granted %v, want [1 2]", b.Slots)
+	// Worker B claims the freed slot 1 and completes it.
+	b1 := lh.claim("healthy", 2)
+	if len(b1.Slots) != 1 || b1.Slots[0] != 1 {
+		t.Fatalf("reassignment claim granted %v, want [1]", b1.Slots)
 	}
-	if ack, code := lh.upload(b.LeaseID, b.JobID, 1, repVal(spec.Seed, 1)); code != http.StatusOK || ack.Duplicate {
+	if ack, code := lh.upload(b1.LeaseID, b1.JobID, 1, repVal(spec.Seed, 1)); code != http.StatusOK || ack.Duplicate {
 		t.Fatalf("upload slot 1 via B: code %d ack %+v", code, ack)
 	}
 
@@ -194,16 +232,12 @@ func TestZombieUploadChargesOnce(t *testing.T) {
 		t.Fatalf("zombie upload of slot 1: code %d ack %+v, want a duplicate ack", code, ack)
 	}
 
-	// Finish the job: B uploads its remaining slot, a third claim picks up
-	// the last one.
+	// Finish the job: B uploads the slots of its renewed lease.
 	if ack, code := lh.upload(b.LeaseID, b.JobID, 2, repVal(spec.Seed, 2)); code != http.StatusOK || ack.Duplicate {
 		t.Fatalf("upload slot 2: code %d ack %+v", code, ack)
 	}
-	c := lh.claim("healthy", 2)
-	if len(c.Slots) != 1 || c.Slots[0] != 3 {
-		t.Fatalf("final claim granted %v, want [3]", c.Slots)
-	}
-	ack, code = lh.upload(c.LeaseID, c.JobID, 3, repVal(spec.Seed, 3))
+	stopRenew()
+	ack, code = lh.upload(b.LeaseID, b.JobID, 3, repVal(spec.Seed, 3))
 	if code != http.StatusOK || ack.Duplicate || ack.Remaining != 0 {
 		t.Fatalf("final upload: code %d ack %+v", code, ack)
 	}
@@ -232,12 +266,10 @@ func TestZombieUploadChargesOnce(t *testing.T) {
 }
 
 // TestDistributeFallsBackInProcess: distribution enabled but no worker ever
-// connects — after the grace window the coordinator computes every slot
-// itself, bytes and charges unchanged.
+// connects — after one lease TTL with no lease traffic the coordinator
+// computes every slot itself, bytes and charges unchanged.
 func TestDistributeFallsBackInProcess(t *testing.T) {
-	opts := distOpts(time.Second, 4)
-	opts.WorkerGrace = 50 * time.Millisecond
-	svc := startService(t, t.TempDir(), opts)
+	svc := startService(t, t.TempDir(), distOpts(50*time.Millisecond))
 	svc.client.APIKey = "carol"
 	spec := JobSpec{Experiment: expFast, Seed: 31}
 	golden := goldenArtifact(t, spec)
@@ -268,9 +300,7 @@ func TestDistributeFallsBackInProcess(t *testing.T) {
 // the coordinator finishes the rest in-process. One full charge, golden
 // bytes — the mixed execution is invisible in the result.
 func TestPartialWorkerThenFallback(t *testing.T) {
-	opts := distOpts(100*time.Millisecond, 2)
-	opts.WorkerGrace = 200 * time.Millisecond
-	svc := startService(t, t.TempDir(), opts)
+	svc := startService(t, t.TempDir(), distOpts(100*time.Millisecond))
 	svc.client.APIKey = "dave"
 	spec := JobSpec{Experiment: expFast, Seed: 47}
 	golden := goldenArtifact(t, spec)
@@ -286,8 +316,8 @@ func TestPartialWorkerThenFallback(t *testing.T) {
 		t.Fatalf("upload: code %d ack %+v", code, ack)
 	}
 	// The worker dies here: no renewal, no more uploads. Lease expiry frees
-	// its second slot; grace expiry hands everything left to the
-	// coordinator.
+	// its second slot; one TTL without lease traffic hands everything left
+	// to the coordinator.
 	waitState(t, svc.client, st.ID, StateDone)
 	data, _, err := svc.client.Result(ctx, st.ID)
 	if err != nil {
@@ -334,7 +364,7 @@ func TestHealthzGolden(t *testing.T) {
 // TestHealthzDuringDistribution: the probe reports the lease plane while a
 // job is sharded and a lease is live.
 func TestHealthzDuringDistribution(t *testing.T) {
-	svc := startService(t, t.TempDir(), distOpts(5*time.Second, 2))
+	svc := startService(t, t.TempDir(), distOpts(5*time.Second))
 	if _, err := svc.client.Submit(context.Background(), JobSpec{Experiment: expFast, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +408,7 @@ func TestHealthzDuringDistribution(t *testing.T) {
 // TestLeaseValidation: malformed uploads are refused loudly, and claims
 // against a non-distributing server 404.
 func TestLeaseValidation(t *testing.T) {
-	svc := startService(t, t.TempDir(), distOpts(time.Second, 4))
+	svc := startService(t, t.TempDir(), distOpts(time.Second))
 	lh := &leaseHTTP{t: t, base: svc.http.URL}
 	if _, err := svc.client.Submit(context.Background(), JobSpec{Experiment: expFast, Seed: 5}); err != nil {
 		t.Fatal(err)
@@ -412,5 +442,135 @@ func TestLeaseValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("claim on non-distributing server: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestRestartMidDistribution: a worker uploads 2 of 4 slots, then the server
+// drains mid-phase and restarts on the same store. The restarted job counts
+// the journaled slots as resumed when its phase opens, computes the other
+// two itself, and charges only those two — with golden bytes.
+func TestRestartMidDistribution(t *testing.T) {
+	dir := t.TempDir()
+	svc := startService(t, dir, distOpts(30*time.Second))
+	svc.client.APIKey = "erin"
+	spec := JobSpec{Experiment: expFast, Seed: 53}
+	golden := goldenArtifact(t, spec)
+
+	ctx := context.Background()
+	st, err := svc.client.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lh := &leaseHTTP{t: t, base: svc.http.URL}
+	grant := lh.claim("w", 2)
+	for _, slot := range grant.Slots {
+		if ack, code := lh.upload(grant.LeaseID, grant.JobID, slot, repVal(spec.Seed, slot)); code != http.StatusOK || ack.Duplicate {
+			t.Fatalf("upload slot %d: code %d ack %+v", slot, code, ack)
+		}
+	}
+	svc.stop(t)
+
+	svc2 := startService(t, dir, distOpts(50*time.Millisecond))
+	svc2.client.APIKey = "erin"
+	final := waitState(t, svc2.client, st.ID, StateDone)
+	if final.Resumed != 2 || final.Completed != fastReps {
+		t.Fatalf("restarted job: %d completed, %d resumed; want %d and 2", final.Completed, final.Resumed, fastReps)
+	}
+	data, _, err := svc2.client.Result(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, golden) {
+		t.Fatalf("artifact after a mid-phase restart differs from golden:\n got %s\nwant %s", data, golden)
+	}
+	q, err := svc2.client.Quota(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Used.Replicates != 2 {
+		t.Fatalf("caller charged %d replicates, want the 2 computed after the restart", q.Used.Replicates)
+	}
+}
+
+// TestLeaseRoutesNeedDistribute: without Distribute the lease plane does not
+// exist — all four routes answer 404, even to well-formed bodies.
+func TestLeaseRoutesNeedDistribute(t *testing.T) {
+	svc := startService(t, t.TempDir(), ServerOptions{})
+	lh := &leaseHTTP{t: t, base: svc.http.URL}
+	for _, c := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/leases/claim", ClaimRequest{Worker: "w"}},
+		{"/v1/leases/l-000001/renew", struct{}{}},
+		{"/v1/leases/l-000001/results", UploadRequest{JobID: "j-000001", Replicate: 0, Result: json.RawMessage("1")}},
+		{"/v1/leases/l-000001/release", struct{}{}},
+	} {
+		if code, _ := lh.post(c.path, c.body, nil); code != http.StatusNotFound {
+			t.Errorf("POST %s on a non-distributing server: status %d, want 404", c.path, code)
+		}
+	}
+}
+
+// TestFailedReportClosesSlot: a worker's failure report closes its slot — it
+// is never leased again and leaves Remaining — so the phase ends without
+// waiting out the TTL and the finalize run computes the slot in-process:
+// golden bytes, each replicate charged once. An upload carrying both a
+// result and a failure is refused.
+func TestFailedReportClosesSlot(t *testing.T) {
+	svc := startService(t, t.TempDir(), distOpts(30*time.Second))
+	svc.client.APIKey = "frank"
+	spec := JobSpec{Experiment: expFast, Seed: 61}
+	golden := goldenArtifact(t, spec)
+
+	ctx := context.Background()
+	st, err := svc.client.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lh := &leaseHTTP{t: t, base: svc.http.URL}
+	grant := lh.claim("w", 1)
+	results := "/v1/leases/" + grant.LeaseID + "/results"
+	both := UploadRequest{JobID: st.ID, Replicate: 0, Result: json.RawMessage("1"), Failed: "and a failure"}
+	if code, _ := lh.post(results, both, nil); code != http.StatusBadRequest {
+		t.Fatalf("upload with both a result and a failure: status %d, want 400", code)
+	}
+	report := UploadRequest{JobID: st.ID, Replicate: 0, Failed: "experiment missing from this worker's registry"}
+	var ack UploadResponse
+	if code, _ := lh.post(results, report, &ack); code != http.StatusOK || ack.Duplicate || ack.Remaining != fastReps-1 {
+		t.Fatalf("failure report: status %d ack %+v, want a fresh ack with %d remaining", code, ack, fastReps-1)
+	}
+	ack = UploadResponse{}
+	if code, _ := lh.post(results, report, &ack); code != http.StatusOK || !ack.Duplicate {
+		t.Fatalf("repeated failure report: status %d ack %+v, want a duplicate ack", code, ack)
+	}
+
+	rest := lh.claim("w", 0)
+	if len(rest.Slots) != fastReps-1 || rest.Slots[0] != 1 {
+		t.Fatalf("claim after the failure report granted %v, want [1 2 3]", rest.Slots)
+	}
+	for _, slot := range rest.Slots {
+		if ack, code := lh.upload(rest.LeaseID, rest.JobID, slot, repVal(spec.Seed, slot)); code != http.StatusOK || ack.Duplicate {
+			t.Fatalf("upload slot %d: code %d ack %+v", slot, code, ack)
+		}
+	}
+
+	final := waitState(t, svc.client, st.ID, StateDone)
+	if final.Completed != fastReps || final.Resumed != 0 {
+		t.Fatalf("final progress %+v, want %d fresh replicates", final, fastReps)
+	}
+	data, _, err := svc.client.Result(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, golden) {
+		t.Fatalf("artifact with a failed-then-computed slot differs from golden:\n got %s\nwant %s", data, golden)
+	}
+	q, err := svc.client.Quota(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Used.Replicates != fastReps {
+		t.Fatalf("caller charged %d replicates, want %d", q.Used.Replicates, fastReps)
 	}
 }

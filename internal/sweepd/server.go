@@ -34,23 +34,18 @@ type ServerOptions struct {
 	Parallel int
 	// Quota is the per-caller admission limit; the zero value is unlimited.
 	Quota Quota
-	// Distribute opens the worker lease plane (POST /v1/leases/...): jobs
-	// whose experiment is Shardable get a distribution phase where external
-	// worker processes claim replicate slot leases, compute them, and upload
-	// results into the job's sweep journal. Off by default — a coordinator
-	// with no workers pointed at it would only pay the grace window.
+	// Distribute opens the worker lease plane (POST /v1/leases/...; without
+	// it those routes answer 404): jobs whose experiment is Shardable get a
+	// distribution phase where external worker processes claim replicate
+	// slot leases, compute them, and upload results into the job's sweep
+	// journal. Off by default — a coordinator with no workers pointed at it
+	// would only pay one LeaseTTL per shardable job.
 	Distribute bool
 	// LeaseTTL is how long a slot lease survives without a heartbeat before
-	// its slots are reassigned; zero means DefaultLeaseTTL.
+	// its slots are reassigned, and how long a sharded job's distribution
+	// phase waits without lease traffic before the coordinator computes the
+	// open slots in-process; zero means DefaultLeaseTTL.
 	LeaseTTL time.Duration
-	// LeaseChunk caps how many slots one claim grants; zero means
-	// DefaultLeaseChunk.
-	LeaseChunk int
-	// WorkerGrace is how long a sharded job's distribution phase idles (no
-	// claim, renewal or upload) before the coordinator gives up on workers
-	// and computes the remaining slots in-process; zero means
-	// DefaultWorkerGrace.
-	WorkerGrace time.Duration
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -85,10 +80,7 @@ func NewServer(store *Store, opts ServerOptions) *Server {
 	if opts.Workers <= 0 {
 		opts.Workers = 1
 	}
-	if opts.WorkerGrace <= 0 {
-		opts.WorkerGrace = DefaultWorkerGrace
-	}
-	s := &Server{store: store, opts: opts, leases: newLeaseTable(opts.LeaseTTL, opts.LeaseChunk)}
+	s := &Server{store: store, opts: opts, leases: newLeaseTable(opts.LeaseTTL)}
 	s.cond = sync.NewCond(&s.mu)
 	s.runCtx, s.cancel = context.WithCancel(context.Background())
 	s.queue = append(s.queue, store.Pending()...)
@@ -99,10 +91,12 @@ func NewServer(store *Store, opts ServerOptions) *Server {
 	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
 	s.mux.HandleFunc("GET /v1/quota", s.handleQuota)
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	s.mux.HandleFunc("POST /v1/leases/claim", s.handleClaim)
-	s.mux.HandleFunc("POST /v1/leases/{id}/renew", s.handleRenew)
-	s.mux.HandleFunc("POST /v1/leases/{id}/results", s.handleUpload)
-	s.mux.HandleFunc("POST /v1/leases/{id}/release", s.handleRelease)
+	if opts.Distribute {
+		s.mux.HandleFunc("POST /v1/leases/claim", s.handleClaim)
+		s.mux.HandleFunc("POST /v1/leases/{id}/renew", s.handleRenew)
+		s.mux.HandleFunc("POST /v1/leases/{id}/results", s.handleUpload)
+		s.mux.HandleFunc("POST /v1/leases/{id}/release", s.handleRelease)
+	}
 	return s
 }
 
@@ -373,10 +367,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // handleClaim is POST /v1/leases/claim: grant a worker its next slot range.
 // 204 means no shardable work right now — poll again after Retry-After.
 func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
-	if !s.opts.Distribute {
-		writeErr(w, http.StatusNotFound, "distribution is disabled on this server")
-		return
-	}
 	var req ClaimRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, "decoding claim: %v", err)
@@ -385,7 +375,7 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 	if req.Worker == "" {
 		req.Worker = callerOf(r)
 	}
-	grant, ok := s.leases.claim(req.Worker, req.MaxSlots, time.Now())
+	grant, ok := s.leases.claim(req.MaxSlots, time.Now())
 	if !ok {
 		w.Header().Set("Retry-After", "1")
 		w.WriteHeader(http.StatusNoContent)
@@ -408,19 +398,20 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, RenewResponse{TTLMS: ttl.Milliseconds()})
 }
 
-// handleUpload is POST /v1/leases/{id}/results: one computed replicate.
-// Idempotency is keyed by (job, replicate), deliberately not by lease: a
-// zombie worker whose lease was reassigned mid-replicate still delivers
-// valid bytes (replicates are deterministic), so its late upload is either
-// the first — journaled and charged once — or a duplicate no-op. 410 means
-// the job's distribution phase is over; the result is no longer wanted.
+// handleUpload is POST /v1/leases/{id}/results: one computed replicate, or
+// a worker's report that it cannot compute one. Idempotency is keyed by
+// (job, replicate), deliberately not by lease: a zombie worker whose lease
+// was reassigned mid-replicate still delivers valid bytes (replicates are
+// deterministic), so its late upload is either the first — journaled and
+// charged once — or a duplicate no-op. 410 means the job's distribution
+// phase is over; the result is no longer wanted.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	var req UploadRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, "decoding upload: %v", err)
 		return
 	}
-	ack, err := s.leases.upload(req.JobID, req.Replicate, req.Result, time.Now())
+	ack, err := s.leases.upload(req, time.Now())
 	switch {
 	case errors.Is(err, errGone):
 		writeErr(w, http.StatusGone, "job %s is not distributing", req.JobID)
@@ -428,6 +419,10 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
+	}
+	if req.Failed != "" && !ack.Duplicate {
+		s.logf("job %s: replicate %d failed on a worker (%s); the finalize run computes it",
+			req.JobID, req.Replicate, req.Failed)
 	}
 	writeJSON(w, http.StatusOK, ack)
 }
@@ -496,22 +491,24 @@ func (s *Server) runJob(job *Job) {
 	// Distribution phase: shardable jobs first offer their replicate slots
 	// to external workers; whatever the workers upload lands in the sweep
 	// journal, and the finalizing run below merges it exactly like resumed
-	// work. Whatever never arrived — no workers, killed workers, a partition
-	// — the finalizing run computes in-process: distribution is an
-	// accelerator, never a correctness dependency.
-	uploaded := s.distribute(job, exp, sweepDir)
+	// work. Whatever never arrived — no workers, killed workers, a partition,
+	// a replicate a worker reported failed — the finalizing run computes
+	// in-process: distribution is an accelerator, never a correctness
+	// dependency.
+	distributed := s.distribute(job, exp, sweepDir)
 	if s.runCtx.Err() != nil {
 		s.logf("job %s: distribution interrupted by drain; will resume", job.ID)
 		return
 	}
 
 	onProgress := job.observe
-	if len(uploaded) > 0 {
+	if distributed {
+		// Every slot the finalizing run resumes was counted when the phase
+		// opened (journaled by an earlier run) or when it was uploaded.
 		onProgress = func(ev scenario.ProgressEvent) {
-			if ev.Resumed && uploaded[ev.Rep] {
-				return // counted, as fresh work, when the worker uploaded it
+			if !ev.Resumed {
+				job.observe(ev)
 			}
-			job.observe(ev)
 		}
 	}
 	cfg := scenario.Config{
@@ -560,20 +557,18 @@ func (s *Server) runJob(job *Job) {
 // shardPollInterval paces the coordinator's distribution-phase wait loop.
 const shardPollInterval = 10 * time.Millisecond
 
-// distribute runs a job's distribution phase, returning the set of
-// replicate slots worker uploads filled this run (empty or nil when the job
-// is not distributable or no worker delivered anything). It returns when
-// every slot has a journaled result, when the lease plane has been idle for
-// the worker grace window with no live leases, or at drain.
+// distribute runs a job's distribution phase and reports whether it ran. It
+// returns when every slot has a journaled result or a reported failure,
+// when the job has had no lease traffic for one lease TTL, or at drain.
 //
 // Only jobs that reduce to exactly one replicate sweep with no truncation
 // knobs distribute: a replicate budget or timeout changes which slots run
 // (or whether they finish) based on coordinator-local state that a worker
 // cannot see, so those jobs stay in-process to keep their bytes identical.
-func (s *Server) distribute(job *Job, exp scenario.Experiment, sweepDir string) map[int]bool {
+func (s *Server) distribute(job *Job, exp scenario.Experiment, sweepDir string) bool {
 	if !s.opts.Distribute || !exp.Shardable ||
 		job.Spec.BudgetReplicates != 0 || job.Spec.TimeoutMS != 0 {
-		return nil
+		return false
 	}
 	cfg := scenario.Config{
 		Quick: job.Spec.Quick,
@@ -582,49 +577,41 @@ func (s *Server) distribute(job *Job, exp scenario.Experiment, sweepDir string) 
 	}.WithJournal(sweepDir, true)
 	n := exp.EstimatedReps(cfg)
 	if n <= 0 {
-		return nil
+		return false
 	}
 	j, err := scenario.OpenFirstSweepJournal(cfg, n)
 	if err != nil {
 		s.logf("job %s: opening shard journal: %v; running in-process", job.ID, err)
-		return nil
+		return false
 	}
 	pre, _ := j.Completed()
 	job.setTotal(n)
 	s.leases.register(job, n, j, pre, time.Now())
 	s.logf("job %s: distributing %d replicates (%d already journaled)", job.ID, n, len(pre))
-
-	var uploaded map[int]bool
 	// The journal handle must close before the finalizing exp.Run reopens
 	// the file (the append lock is exclusive), and unregister must come
 	// first so no upload races the close.
-	finishPhase := func() map[int]bool {
-		uploaded = s.leases.unregister(job.ID)
+	defer func() {
+		s.leases.unregister(job.ID)
 		if cerr := j.Close(); cerr != nil {
 			s.logf("job %s: closing shard journal: %v", job.ID, cerr)
 		}
-		if len(uploaded) > 0 {
-			s.logf("job %s: workers delivered %d replicates %v", job.ID, len(uploaded), sortedSlots(uploaded))
-		}
-		return uploaded
-	}
+	}()
 
 	ticker := time.NewTicker(shardPollInterval)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-s.runCtx.Done():
-			return finishPhase()
+			return true
 		case <-ticker.C:
 		}
-		p, ok := s.leases.poll(job.ID, time.Now())
-		if !ok || p.remaining == 0 {
-			return finishPhase()
-		}
-		if p.active == 0 && p.idle >= s.opts.WorkerGrace {
-			s.logf("job %s: no worker activity for %v with %d slots left; computing in-process",
-				job.ID, p.idle.Round(time.Millisecond), p.remaining)
-			return finishPhase()
+		if open, over := s.leases.poll(job.ID, time.Now()); over {
+			if open > 0 {
+				s.logf("job %s: no lease traffic for %v with %d slots open; computing in-process",
+					job.ID, s.leases.ttl, open)
+			}
+			return true
 		}
 	}
 }

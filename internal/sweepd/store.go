@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -345,18 +344,6 @@ func (s *Store) UsageFor(caller string) Usage {
 		return *u
 	}
 	return Usage{}
-}
-
-// Callers returns every caller with charged usage, sorted.
-func (s *Store) Callers() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.usage))
-	for c := range s.usage { //lint:allow maporder keys are sorted before use
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // SweepDir returns (creating) the sweep checkpoint directory for a spec

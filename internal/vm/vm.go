@@ -62,9 +62,6 @@ func NewAllocator(memBytes uint64, policy AllocPolicy, seed uint64) (*Allocator,
 	}, nil
 }
 
-// Frames reports the total number of physical frames.
-func (a *Allocator) Frames() uint64 { return a.frames }
-
 // FreeFrames reports how many frames are currently unallocated.
 func (a *Allocator) FreeFrames() uint64 {
 	return uint64(len(a.free)) + (a.frames - a.next)

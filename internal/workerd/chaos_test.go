@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/netchaos"
+	"repro/internal/scenario"
 	"repro/internal/sweepd"
 )
 
@@ -147,6 +148,20 @@ func (wp *workerProc) sigterm(timeout time.Duration) {
 	}
 }
 
+// waitPolling blocks until the worker has started its claim loop, so a job
+// submitted next is claimed well inside one lease TTL rather than falling
+// back to the coordinator.
+func (wp *workerProc) waitPolling(within time.Duration) {
+	wp.t.Helper()
+	deadline := time.Now().Add(within)
+	for !strings.Contains(wp.out.String(), "for leases") {
+		if time.Now().After(deadline) {
+			wp.t.Fatalf("worker %s not polling within %v\n%s", wp.id, within, wp.out.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // reap kills any worker a test left running.
 func (wp *workerProc) reap() {
 	select {
@@ -204,20 +219,11 @@ func TestWorkerFleetChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess chaos harness")
 	}
-	co := startCoordinator(t, sweepd.ServerOptions{
-		LeaseTTL:    400 * time.Millisecond,
-		LeaseChunk:  2,
-		WorkerGrace: 20 * time.Second,
-	})
+	co := startCoordinator(t, sweepd.ServerOptions{LeaseTTL: 400 * time.Millisecond})
 	spec := sweepd.JobSpec{Experiment: wexpChaos, Seed: 0x5EED}
 	want := golden(t, spec)
 	caller := &sweepd.Client{Base: co.http.URL, APIKey: "fleet"}
 	ctx := context.Background()
-
-	st, err := caller.Submit(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	proxy, err := netchaos.NewProxy(strings.TrimPrefix(co.http.URL, "http://"), netchaos.ProxyOptions{Seed: 7})
 	if err != nil {
@@ -225,9 +231,17 @@ func TestWorkerFleetChaos(t *testing.T) {
 	}
 	t.Cleanup(func() { proxy.Close() }) //nolint:errcheck // teardown
 
-	healthy := startWorker(t, co.http.URL, "w-healthy", 0, 1, 25*time.Millisecond, 10*time.Second)
-	victim := startWorker(t, co.http.URL, "w-victim", 0, 2, 25*time.Millisecond, 10*time.Second)
-	cutoff := startWorker(t, "http://"+proxy.Addr(), "w-cutoff", 0, 3, 25*time.Millisecond, 10*time.Second)
+	healthy := startWorker(t, co.http.URL, "w-healthy", 2, 1, 25*time.Millisecond, 10*time.Second)
+	victim := startWorker(t, co.http.URL, "w-victim", 2, 2, 25*time.Millisecond, 10*time.Second)
+	cutoff := startWorker(t, "http://"+proxy.Addr(), "w-cutoff", 2, 3, 25*time.Millisecond, 10*time.Second)
+	for _, wp := range []*workerProc{healthy, victim, cutoff} {
+		wp.waitPolling(30 * time.Second)
+	}
+
+	st, err := caller.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Let the fleet get properly into the sweep, then strike: the victim
 	// dies instantly (held lease never released), and the cutoff worker's
@@ -277,9 +291,7 @@ func TestWorkerSIGTERMGraceful(t *testing.T) {
 		t.Skip("subprocess chaos harness")
 	}
 	co := startCoordinator(t, sweepd.ServerOptions{
-		LeaseTTL:    30 * time.Second, // only an explicit release frees slots fast
-		LeaseChunk:  wslowReps,
-		WorkerGrace: 30 * time.Second,
+		LeaseTTL: 30 * time.Second, // only an explicit release frees slots fast
 	})
 	spec := sweepd.JobSpec{Experiment: wexpSlow, Seed: 9}
 	want := golden(t, spec)
@@ -347,11 +359,7 @@ func TestWorkerSIGTERMGraceful(t *testing.T) {
 // when the soft context cancels; the worker must finish and upload exactly
 // that replicate and never start the next slot.
 func TestSoftStopFinishesInFlightReplicate(t *testing.T) {
-	co := startCoordinator(t, sweepd.ServerOptions{
-		LeaseTTL:    30 * time.Second,
-		LeaseChunk:  1, // one slot per lease: slot 1 needs a claim the stopped worker must not make
-		WorkerGrace: 30 * time.Second,
-	})
+	co := startCoordinator(t, sweepd.ServerOptions{LeaseTTL: 30 * time.Second})
 	spec := sweepd.JobSpec{Experiment: wexpGate, Seed: 0x42}
 	want := golden(t, spec) // before arming the gate: golden runs ungated
 	gateCh = make(chan struct{})
@@ -368,6 +376,7 @@ func TestSoftStopFinishesInFlightReplicate(t *testing.T) {
 	w := New(Options{
 		Coordinator: co.http.URL,
 		ID:          "w-soft",
+		MaxSlots:    1, // one slot per lease: slot 1 needs a claim the stopped worker must not make
 		Poll:        10 * time.Millisecond,
 		Grace:       10 * time.Second,
 		Seed:        3,
@@ -413,6 +422,93 @@ func TestSoftStopFinishesInFlightReplicate(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("artifact after soft stop differs:\ngot  %s\nwant %s", got, want)
+	}
+}
+
+// TestFailingReplicateEndsJob: a replicate that always fails is reported by
+// the worker instead of abandoned and re-claimed, so the job ends — failed,
+// with the error text and fresh-replicate charge an in-process run gives it
+// — instead of bouncing the slot between claims forever.
+func TestFailingReplicateEndsJob(t *testing.T) {
+	co := startCoordinator(t, sweepd.ServerOptions{LeaseTTL: 30 * time.Second})
+	spec := sweepd.JobSpec{Experiment: wexpFail, Seed: 0xFA11}
+	exp, _ := scenario.Find(wexpFail)
+	fresh := 0
+	_, inProcess := exp.Run(scenario.Config{
+		Seed:       spec.Seed,
+		Parallel:   1,
+		OnProgress: func(scenario.ProgressEvent) { fresh++ },
+	})
+	const wantErr = "scenario: replicate 1: replicate 1 always fails"
+	if inProcess == nil || inProcess.Error() != wantErr || fresh != wfailReps-1 {
+		t.Fatalf("in-process run: error %v after %d replicates, want %q after %d", inProcess, fresh, wantErr, wfailReps-1)
+	}
+
+	w := New(Options{Coordinator: co.http.URL, ID: "w-fail", Poll: 10 * time.Millisecond, Seed: 5, Logf: t.Logf})
+	ctx, cancel := context.WithCancel(context.Background())
+	runErr := make(chan error, 1)
+	go func() { runErr <- w.Run(ctx) }()
+	defer func() {
+		cancel()
+		if err := <-runErr; err != nil {
+			t.Errorf("worker run: %v", err)
+		}
+	}()
+
+	caller := &sweepd.Client{Base: co.http.URL, APIKey: "failing"}
+	st, err := caller.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin := waitDone(t, caller, st.ID, 10*time.Second)
+	if fin.State != sweepd.StateFailed || fin.Error != wantErr {
+		t.Fatalf("job finished %s with error %q, want failed with %q", fin.State, fin.Error, wantErr)
+	}
+	q, err := caller.Quota(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Used.Replicates != fresh {
+		t.Fatalf("caller charged %d replicates, want the in-process charge %d", q.Used.Replicates, fresh)
+	}
+}
+
+// TestKeepGoingFailureRecordsRow: the same reported failure in a keep-going
+// sweep ends the job done, with the failed replicate's row computed by the
+// coordinator — the artifact an in-process run produces, byte for byte.
+func TestKeepGoingFailureRecordsRow(t *testing.T) {
+	co := startCoordinator(t, sweepd.ServerOptions{LeaseTTL: 30 * time.Second})
+	spec := sweepd.JobSpec{Experiment: wexpKeepGoing, Seed: 0xFA11}
+	want := golden(t, spec)
+
+	w := New(Options{Coordinator: co.http.URL, ID: "w-keep", Poll: 10 * time.Millisecond, Seed: 6, Logf: t.Logf})
+	ctx, cancel := context.WithCancel(context.Background())
+	runErr := make(chan error, 1)
+	go func() { runErr <- w.Run(ctx) }()
+	defer func() {
+		cancel()
+		if err := <-runErr; err != nil {
+			t.Errorf("worker run: %v", err)
+		}
+	}()
+
+	caller := &sweepd.Client{Base: co.http.URL, APIKey: "keep"}
+	st, err := caller.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin := waitDone(t, caller, st.ID, 10*time.Second)
+	if fin.State != sweepd.StateDone {
+		t.Fatalf("job finished %s (error %q), want done", fin.State, fin.Error)
+	}
+	fctx, fcancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer fcancel()
+	got, err := caller.FetchResult(fctx, st.ID, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("keep-going artifact differs from the in-process run:\ngot  %s\nwant %s", got, want)
 	}
 }
 

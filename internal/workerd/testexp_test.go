@@ -2,6 +2,7 @@ package workerd
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"testing"
@@ -20,14 +21,21 @@ import (
 //     scenario.
 //   - workerd-test-gate: 2 replicates parked on a gate — deterministic
 //     soft-stop semantics, in-process.
+//   - workerd-test-fail: 4 instant replicates, of which replicate 1 always
+//     fails — a slot no worker can compute.
+//   - workerd-test-keepgoing: the same sweep run keep-going, so replicate
+//     1's failure becomes a zero row instead of the run's error.
 const (
-	wexpChaos = "workerd-test-chaos"
-	wexpSlow  = "workerd-test-slow"
-	wexpGate  = "workerd-test-gate"
+	wexpChaos     = "workerd-test-chaos"
+	wexpSlow      = "workerd-test-slow"
+	wexpGate      = "workerd-test-gate"
+	wexpFail      = "workerd-test-fail"
+	wexpKeepGoing = "workerd-test-keepgoing"
 
 	wchaosReps = 16
 	wslowReps  = 4
 	wgateReps  = 2
+	wfailReps  = 4
 )
 
 // gateCh parks workerd-test-gate replicates; startedCh announces that a
@@ -102,6 +110,39 @@ func init() {
 		Reps:      func(scenario.Config) int { return wgateReps },
 		Shardable: true,
 	})
+	scenario.Register(scenario.Experiment{
+		Name:      wexpFail,
+		Desc:      "workerd test: a sweep whose replicate 1 always fails",
+		Run:       mkFailingRun(wexpFail, false),
+		Reps:      func(scenario.Config) int { return wfailReps },
+		Shardable: true,
+	})
+	scenario.Register(scenario.Experiment{
+		Name:      wexpKeepGoing,
+		Desc:      "workerd test: a keep-going sweep whose replicate 1 always fails",
+		Run:       mkFailingRun(wexpKeepGoing, true),
+		Reps:      func(scenario.Config) int { return wfailReps },
+		Shardable: true,
+	})
+}
+
+// mkFailingRun builds a sweep of wfailReps replicates whose replicate 1
+// always fails: the run's error, or — keep-going — a zero row.
+func mkFailingRun(name string, keepGoing bool) func(scenario.Config) (scenario.Result, error) {
+	return func(cfg scenario.Config) (scenario.Result, error) {
+		cfg.KeepGoing = keepGoing
+		vals, err := scenario.RunReplicates(cfg, wfailReps, func(rep int) (uint64, error) {
+			if rep == 1 {
+				return 0, errors.New("replicate 1 always fails")
+			}
+			return wval(cfg.Seed, rep), nil
+		})
+		var sweep *scenario.SweepError
+		if err != nil && !(keepGoing && errors.As(err, &sweep)) {
+			return nil, err
+		}
+		return &wResult{Experiment: name, Values: vals}, nil
+	}
 }
 
 // golden computes the artifact bytes an uninterrupted single-process run

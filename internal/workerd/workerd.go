@@ -7,7 +7,11 @@
 // are computed — and uploads each result as it completes. Heartbeats renew
 // the lease at a third of its TTL; a worker that dies or is partitioned
 // simply stops renewing, the coordinator reassigns its slots, and any
-// result the zombie still delivers is deduplicated server-side.
+// result the zombie still delivers is deduplicated server-side. A slot the
+// worker cannot compute — its replicate errors or panics, or the experiment
+// is missing from the worker's registry — is reported failed instead of
+// retried: the coordinator never leases it again and computes it itself, so
+// the job ends exactly as an in-process run would.
 //
 // Shutdown is two-phase. The soft context (SIGTERM in cmd/anvilworkerd)
 // stops new claims and new slots but lets the in-flight replicate finish
@@ -53,7 +57,7 @@ type Options struct {
 	// PID.
 	ID string
 	// MaxSlots caps how many slots one claim asks for; zero accepts the
-	// coordinator's chunk size.
+	// coordinator's maximum of 4.
 	MaxSlots int
 	// Poll is the claim interval while no work is available; zero means
 	// DefaultPoll.
@@ -248,13 +252,17 @@ func (w *Worker) heartbeat(ctx context.Context, id string, ttl time.Duration, lo
 
 // runSlot recomputes one leased replicate and uploads its canonical bytes.
 // The experiment runs with Slots restricted to exactly this index, so the
-// registry Run executes one replicate and the OnResult hook fires once.
+// registry Run executes one replicate and the OnResult hook fires once. A
+// slot the worker cannot compute is reported failed, which closes it as an
+// upload does; only a lost upload or a stop returns an error, abandoning
+// the lease to expiry and reassignment.
 func (w *Worker) runSlot(ctx context.Context, grant *sweepd.ClaimResponse, slot int) error {
 	exp, ok := scenario.Find(grant.Experiment)
 	if !ok {
-		return fmt.Errorf("experiment %q is not in this worker's registry", grant.Experiment)
+		return w.reportFailed(ctx, grant, slot, fmt.Errorf("experiment %q is not in this worker's registry", grant.Experiment))
 	}
 	uploaded := false
+	var uploadErr error
 	cfg := scenario.Config{
 		Quick:    grant.Quick,
 		Seed:     grant.Seed,
@@ -268,7 +276,8 @@ func (w *Worker) runSlot(ctx context.Context, grant *sweepd.ClaimResponse, slot 
 				Result:    raw,
 			})
 			if err != nil {
-				return fmt.Errorf("uploading replicate %d: %w", rep, err)
+				uploadErr = fmt.Errorf("uploading replicate %d: %w", rep, err)
+				return uploadErr
 			}
 			if ack.Duplicate {
 				w.logf("%s: lease %s: replicate %d was already delivered (reassigned lease?)",
@@ -278,11 +287,32 @@ func (w *Worker) runSlot(ctx context.Context, grant *sweepd.ClaimResponse, slot 
 			return nil
 		},
 	}
-	if _, err := exp.Run(cfg); err != nil {
-		return err
+	_, err := exp.Run(cfg)
+	switch {
+	case err == nil && uploaded:
+		return nil
+	case uploadErr != nil:
+		return uploadErr
+	case ctx.Err() != nil:
+		return ctx.Err()
+	case err == nil:
+		err = fmt.Errorf("replicate %d produced no result (failed inside a keep-going sweep, or out of range for %q)", slot, grant.Experiment)
 	}
-	if !uploaded {
-		return fmt.Errorf("replicate %d produced no result (slot out of range for %q?)", slot, grant.Experiment)
+	return w.reportFailed(ctx, grant, slot, err)
+}
+
+// reportFailed tells the coordinator this worker cannot produce a slot's
+// result, so the slot is never leased again — rather than bouncing between
+// claims — and the coordinator computes it. Only a lost report is an error.
+func (w *Worker) reportFailed(ctx context.Context, grant *sweepd.ClaimResponse, slot int, cause error) error {
+	w.logf("%s: lease %s slot %d: %v; reporting it failed", w.opts.ID, grant.LeaseID, slot, cause)
+	_, err := w.client.UploadResult(ctx, grant.LeaseID, sweepd.UploadRequest{
+		JobID:     grant.JobID,
+		Replicate: slot,
+		Failed:    cause.Error(),
+	})
+	if err != nil {
+		return fmt.Errorf("reporting replicate %d failed: %w", slot, err)
 	}
 	return nil
 }
