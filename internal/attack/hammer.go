@@ -68,6 +68,7 @@ type hammerCore struct {
 	unrolled   []machine.Op // whole iterations repeated, for contiguous batch views
 	execOps    uint64       // operations committed (served by Next or Advance)
 	aggPerIter uint64
+	perIter    int // len(ops), or 0 when the iteration holds an OpCompute
 }
 
 func (h *hammerCore) Name() string { return h.name }
@@ -149,6 +150,9 @@ func (h *hammerCore) NextRun(max int) []machine.Op {
 // Advance implements machine.BatchProgram.
 func (h *hammerCore) Advance(n int) { h.execOps += uint64(n) }
 
+// Period implements machine.PeriodicProgram.
+func (h *hammerCore) Period() (uint64, int) { return h.execOps, h.perIter }
+
 // seal pre-unrolls the iteration into a ring of whole iterations so NextRun
 // serves long contiguous views regardless of the iteration length. Called at
 // the end of every attack Init.
@@ -161,6 +165,12 @@ func (h *hammerCore) seal() {
 	h.unrolled = make([]machine.Op, 0, copies*iterLen)
 	for i := 0; i < copies; i++ {
 		h.unrolled = append(h.unrolled, h.ops...)
+	}
+	h.perIter = iterLen
+	for _, op := range h.ops {
+		if op.Kind == machine.OpCompute {
+			h.perIter = 0
+		}
 	}
 }
 
@@ -372,9 +382,9 @@ func findVAInRowCol(mapper dram.Mapper, xlate translator, bufVA, bufLen uint64, 
 }
 
 var (
-	_ machine.BatchProgram = (*DoubleSidedFlush)(nil)
-	_ machine.BatchProgram = (*SingleSidedFlush)(nil)
-	_ machine.BatchProgram = (*ClflushFree)(nil)
+	_ machine.PeriodicProgram = (*DoubleSidedFlush)(nil)
+	_ machine.PeriodicProgram = (*SingleSidedFlush)(nil)
+	_ machine.PeriodicProgram = (*ClflushFree)(nil)
 )
 
 // findVAInRowOtherSet scans the buffer for an address in (bank,row) that is

@@ -100,6 +100,9 @@ type Hierarchy struct {
 	// the access that uses it and dropped when a prefetch refills the line.
 	flushedTag [2]uint64 // ^0 when empty
 	flushedPos int
+
+	// rp replays the periodic cache state of a hammer loop (replay.go).
+	rp replay
 }
 
 // HierarchyStats aggregates whole-hierarchy activity.
@@ -137,23 +140,38 @@ func NewHierarchy(cfg HierarchyConfig, mem Memory) (*Hierarchy, error) {
 		}
 		h.levels = append(h.levels, l)
 	}
+	h.initReplay()
 	return h, nil
 }
 
-// Level returns the i-th level (0 = L1).
-func (h *Hierarchy) Level(i int) *Level { return h.levels[i] }
+// Level returns the i-th level (0 = L1), with the real cache state. Replayed
+// requests (AccessAt) leave it behind until the next hierarchy call, so
+// call Level again rather than holding the pointer across a run.
+func (h *Hierarchy) Level(i int) *Level {
+	h.settle()
+	return h.levels[i]
+}
 
-// LLC returns the last-level cache.
-func (h *Hierarchy) LLC() *Level { return h.levels[len(h.levels)-1] }
+// LLC returns the last-level cache, as Level does.
+func (h *Hierarchy) LLC() *Level {
+	h.settle()
+	return h.llc()
+}
+
+func (h *Hierarchy) llc() *Level { return h.levels[len(h.levels)-1] }
 
 // Stats returns a snapshot of the hierarchy counters.
-func (h *Hierarchy) Stats() HierarchyStats { return h.stats }
+func (h *Hierarchy) Stats() HierarchyStats {
+	h.settle()
+	return h.stats
+}
 
 // lineAlign truncates an address to its line base.
 func lineAlign(pa uint64) uint64 { return pa &^ (LineSize - 1) }
 
 // Access performs a load or store of pa at simulated time now.
 func (h *Hierarchy) Access(pa uint64, write bool, now sim.Cycles) Result {
+	h.settle()
 	pa = lineAlign(pa)
 	if write {
 		h.stats.Stores++
@@ -201,7 +219,7 @@ func (h *Hierarchy) Access(pa uint64, write bool, now sim.Cycles) Result {
 func (h *Hierarchy) missEverywhere(pa uint64, write bool, now sim.Cycles, hinted bool) Result {
 	h.lastHit = -1
 	h.stats.LLCMisses++
-	llcLat := h.LLC().cfg.Latency
+	llcLat := h.llc().cfg.Latency
 	memLat := h.mem.Access(pa, false, now+llcLat)
 	h.stats.MemReads++
 	res := Result{Latency: llcLat + memLat, Source: SrcDRAM, LLCMiss: true}
@@ -216,7 +234,7 @@ func (h *Hierarchy) missEverywhere(pa uint64, write bool, now sim.Cycles, hinted
 // to the triggering access). Evictions are handled as for demand fills.
 func (h *Hierarchy) prefetch(pa uint64, now sim.Cycles) int {
 	pa = lineAlign(pa)
-	llc := h.LLC()
+	llc := h.llc()
 	if llc.Lookup(pa) {
 		return 0
 	}
@@ -276,6 +294,9 @@ func (h *Hierarchy) fill(from int, pa uint64, write bool, now sim.Cycles, hinted
 		if !evicted {
 			continue
 		}
+		if h.rp.tracing {
+			h.traceLine(ev.PA)
+		}
 		dirty := ev.Dirty
 		if i == len(h.levels)-1 {
 			// LLC victim: back-invalidate the inner levels (inclusion).
@@ -307,6 +328,7 @@ func (h *Hierarchy) fill(from int, pa uint64, write bool, now sim.Cycles, hinted
 // dirty copy is written back to memory. It returns the latency charged to
 // the executing core and the number of memory writebacks.
 func (h *Hierarchy) Flush(pa uint64, now sim.Cycles) (sim.Cycles, int) {
+	h.settle()
 	pa = lineAlign(pa)
 	h.stats.Flushes++
 	dirty := false
@@ -328,6 +350,7 @@ func (h *Hierarchy) Flush(pa uint64, now sim.Cycles) (sim.Cycles, int) {
 
 // Contains reports whether pa is resident in any level.
 func (h *Hierarchy) Contains(pa uint64) bool {
+	h.settle()
 	pa = lineAlign(pa)
 	for _, l := range h.levels {
 		if l.Lookup(pa) {

@@ -47,6 +47,20 @@ type BatchProgram interface {
 	Advance(n int)
 }
 
+// PeriodicProgram is optionally implemented by BatchPrograms whose stream is
+// one fixed iteration repeated: the operation at committed position p is
+// always the one at p mod the iteration length. While such a program is
+// the only one running, the batched core tags each memory request with its
+// position in the iteration (memsys.Req.Pos), which lets the cache
+// hierarchy replay a cache state that provably repeats. Per-op stepping
+// never tags, so BatchCap=1 remains the unreplayed reference.
+type PeriodicProgram interface {
+	BatchProgram
+	// Period reports how many operations are committed and how many make
+	// one iteration; perIter is 0 when the iteration holds an OpCompute.
+	Period() (committed uint64, perIter int)
+}
+
 // runCore advances c — which the caller established as the earliest active
 // core — by one epoch (batch-capable programs) or one operation (everything
 // else), returning the error left on c, if any.
@@ -81,11 +95,22 @@ func (m *Machine) runCore(c *Core, until sim.Cycles) error {
 	if horizon <= c.Now {
 		return m.stepCore(c)
 	}
+	// A sibling can only start inside this epoch through Spawn, which bumps
+	// the kernel generation and so ends it.
+	pp := c.pprog
+	if pp != nil && !m.onlyActive(c) {
+		pp = nil
+	}
 	for c.Now < horizon && !c.Done && kern.gen == gen {
 		m.current = c
 		ops := bp.NextRun(m.batchCap)
 		m.current = nil
-		n := m.execView(c, ops, horizon, gen)
+		var pos uint64
+		per := 0
+		if pp != nil {
+			pos, per = pp.Period()
+		}
+		n := m.execView(c, ops, horizon, gen, pos, per)
 		if n == 0 {
 			// Heterogeneous head (OpDone, invalid op, translation fault,
 			// empty view): one per-op step reproduces the bookkeeping and
@@ -101,8 +126,10 @@ func (m *Machine) runCore(c *Core, until sim.Cycles) error {
 // completed. It stops — always at an operation boundary — at the horizon, on
 // a kernel-generation change (a handler armed an earlier event), or before
 // the first operation the batched path cannot express (OpDone, invalid
-// kinds, translation faults).
-func (m *Machine) execView(c *Core, ops []Op, horizon sim.Cycles, gen uint64) int {
+// kinds, translation faults). When per is non-zero, ops[0] is the program's
+// committed position pos of an iteration per operations long, and each
+// request is tagged with its 1-based position in the iteration.
+func (m *Machine) execView(c *Core, ops []Op, horizon sim.Cycles, gen uint64, pos uint64, per int) int {
 	kern := m.Kernel
 	i := 0
 	for i < len(ops) && c.Now < horizon && kern.gen == gen {
@@ -118,6 +145,10 @@ func (m *Machine) execView(c *Core, ops []Op, horizon sim.Cycles, gen uint64) in
 			// iterations, so a VA on the same page as the previous op reuses
 			// its frame. memoPage starts unaligned, so it never matches.
 			memoPage, memoFrame := uint64(1), uint64(0)
+			var phase uint32
+			if per > 0 {
+				phase = uint32((pos + uint64(i)) % uint64(per))
+			}
 		gather:
 			for j := i; j < len(ops); j++ {
 				var kind memsys.ReqKind
@@ -146,7 +177,14 @@ func (m *Machine) execView(c *Core, ops []Op, horizon sim.Cycles, gen uint64) in
 					memoPage = page
 					memoFrame = pa &^ uint64(vm.PageSize-1)
 				}
-				reqs = append(reqs, memsys.Req{VA: va, PA: pa, Kind: kind})
+				var tag uint32
+				if per > 0 {
+					tag = phase + 1
+					if phase++; phase == uint32(per) {
+						phase = 0
+					}
+				}
+				reqs = append(reqs, memsys.Req{VA: va, PA: pa, Kind: kind, Pos: tag})
 			}
 			c.reqs = reqs
 			if len(reqs) == 0 {

@@ -4,28 +4,57 @@ import (
 	"testing"
 )
 
+// periodicLoop is loadLoop declared periodic, so the batched core tags its
+// requests and the cache hierarchy replays their repeating state.
+type periodicLoop struct{ loadLoop }
+
+var _ PeriodicProgram = (*periodicLoop)(nil)
+
+func (p *periodicLoop) Period() (uint64, int) { return p.i, int(p.lines) }
+
 // TestBatchedEpochSteadyStateAllocs pins the allocation-free property of the
 // epoch planner and batched inner loop: once the core's request scratch and
 // the memory system's lazy state are warm, advancing the machine through
-// many epochs must not allocate.
+// many epochs must not allocate. With a periodic program that covers cache
+// replay, and, when each run first settles the hierarchy through Contains,
+// the materialisation and the re-recording that follow an interruption.
 func TestBatchedEpochSteadyStateAllocs(t *testing.T) {
-	m, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name      string
+		prog      BatchProgram
+		interrupt bool
+	}{
+		{"load-loop", &loadLoop{n: 1 << 40}, false},
+		{"periodic", &periodicLoop{loadLoop{n: 1 << 40, lines: 8}}, false},
+		{"periodic-interrupted", &periodicLoop{loadLoop{n: 1 << 40, lines: 8}}, true},
 	}
-	if _, err := m.Spawn(0, &loadLoop{n: 1 << 40}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.RunFor(1 << 16); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := m.RunFor(1 << 12); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state batched Run allocates %.1f times per run, want 0", allocs)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := New(DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Spawn(0, c.prog); err != nil {
+				t.Fatal(err)
+			}
+			if _, periodic := c.prog.(PeriodicProgram); periodic != (m.Cores[0].pprog != nil) {
+				t.Fatalf("Spawn cached pprog %v for a program that is periodic: %v", m.Cores[0].pprog, periodic)
+			}
+			run := func() {
+				if c.interrupt {
+					m.Mem.Caches.Contains(0x100000)
+				}
+				if err := m.RunFor(1 << 12); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 16; i++ {
+				run() // warm up: scratch buffers, recording buffers
+			}
+			if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+				t.Errorf("steady-state batched Run allocates %.1f times per run, want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -252,6 +252,8 @@ type Core struct {
 	// machine batches (BatchCap > 1). Nil selects the per-op step path; cores
 	// with SpawnShared run queues always step per-op.
 	bprog BatchProgram
+	// pprog is bprog as a PeriodicProgram, when it is one.
+	pprog PeriodicProgram
 }
 
 // Config sets up a Machine.
@@ -348,9 +350,10 @@ func (m *Machine) Spawn(core int, prog Program) (*Proc, error) {
 	c.Prog = prog
 	c.Done = false
 	c.Err = nil
-	c.bprog = nil
+	c.bprog, c.pprog = nil, nil
 	if bp, ok := prog.(BatchProgram); ok && m.batchCap > 1 {
 		c.bprog = bp
+		c.pprog, _ = prog.(PeriodicProgram)
 	}
 	p.core = c
 	m.spawnGen++

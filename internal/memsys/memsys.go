@@ -100,6 +100,11 @@ type Req struct {
 	VA   uint64
 	PA   uint64
 	Kind ReqKind
+	// Pos is the request's 1-based position in the iteration of a periodic
+	// program running alone on the machine, 0 for any other request. Tagged
+	// requests may be served by the cache hierarchy's steady-state replay
+	// (cache.Hierarchy.AccessAt), with identical results.
+	Pos uint32
 }
 
 // RunResult aggregates what AccessRun executed.
@@ -138,6 +143,10 @@ type RunResult struct {
 // full Observe whenever the budget is spent, and any overflow-configuration
 // change (arming from a sample hook, delivery, re-arming from a handler)
 // re-prices the budget.
+//
+// Requests tagged with their position in a periodic program's iteration
+// (Req.Pos) go through the hierarchy's AccessAt/FlushAt, which may replay a
+// repeating cache state; DRAM and the PMU still see every access live.
 func (s *System) AccessRun(reqs []Req, task, core int, now *sim.Cycles, stopAt sim.Cycles, kgen *uint64) RunResult {
 	var r RunResult
 	p := s.PMU
@@ -148,14 +157,24 @@ func (s *System) AccessRun(reqs []Req, task, core int, now *sim.Cycles, stopAt s
 	for i := range reqs {
 		req := &reqs[i]
 		if req.Kind == ReqFlush {
-			lat, _ := caches.Flush(req.PA, *now)
+			var lat sim.Cycles
+			if req.Pos == 0 {
+				lat, _ = caches.Flush(req.PA, *now)
+			} else {
+				lat, _ = caches.FlushAt(req.PA, req.Pos, *now)
+			}
 			*now += lat
 			r.Flushes++
 			r.Executed++
 		} else {
 			write := req.Kind == ReqStore
 			t := *now
-			res := caches.Access(req.PA, write, t)
+			var res cache.Result
+			if req.Pos == 0 {
+				res = caches.Access(req.PA, write, t)
+			} else {
+				res = caches.AccessAt(req.PA, write, req.Pos, t)
+			}
 			if bound == 0 {
 				p.Observe(pmu.Access{
 					VA:      req.VA,

@@ -127,7 +127,19 @@ func min(a, b int) int {
 	return b
 }
 
-const tlbSize = 64 // direct-mapped translation cache per address space
+// The translation cache is a host-side memo of the page map, not a modelled
+// TLB: translation costs no simulated time, so its size and indexing move no
+// output byte, only the simulator's speed.
+const (
+	tlbBits = 8
+	tlbSize = 1 << tlbBits // direct-mapped translation cache per address space
+)
+
+// tlbSlot indexes the translation cache with a multiplicative (Fibonacci)
+// hash of the virtual page number. Hammer pages sit at power-of-two strides
+// (double-sided aggressors 64 pages apart, eviction-set pages multiples of
+// 32 pages apart), which a vpn % tlbSize index folds onto one or two slots.
+func tlbSlot(vpn uint64) uint64 { return vpn * 0x9e3779b97f4a7c15 >> (64 - tlbBits) }
 
 // AddressSpace is one process's virtual address space.
 type AddressSpace struct {
@@ -137,9 +149,8 @@ type AddressSpace struct {
 }
 
 type tlbEntry struct {
-	vpn   uint64
+	tag   uint64 // vpn+1; 0 marks an empty entry
 	frame uint64
-	valid bool
 }
 
 // NewAddressSpace creates an empty address space backed by the allocator.
@@ -244,23 +255,21 @@ func (s *AddressSpace) Unmap(va, bytes uint64) {
 			delete(s.pages, vpn+i)
 		}
 	}
-	for i := range s.tlb {
-		s.tlb[i].valid = false
-	}
+	s.tlb = [tlbSize]tlbEntry{}
 }
 
 // Translate resolves a virtual address to a physical address.
 func (s *AddressSpace) Translate(va uint64) (uint64, error) {
 	vpn := va >> pageShift
-	e := &s.tlb[vpn%tlbSize]
-	if e.valid && e.vpn == vpn {
+	e := &s.tlb[tlbSlot(vpn)]
+	if e.tag == vpn+1 {
 		return e.frame<<pageShift | va&(PageSize-1), nil
 	}
 	f, ok := s.pages[vpn]
 	if !ok {
 		return 0, fmt.Errorf("%w: va %#x", ErrUnmapped, va)
 	}
-	*e = tlbEntry{vpn: vpn, frame: f, valid: true}
+	*e = tlbEntry{tag: vpn + 1, frame: f}
 	return f<<pageShift | va&(PageSize-1), nil
 }
 

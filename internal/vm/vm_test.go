@@ -302,3 +302,41 @@ func TestFrameOfUnmapped(t *testing.T) {
 		t.Error("FrameOf on unmapped page succeeded")
 	}
 }
+
+// TestTranslationCacheKeepsHammerStrides pins the translation cache's
+// index against the strides hammer loops use: double-sided aggressors 64
+// pages apart and eviction-set pages multiples of 32 pages apart. A
+// vpn % size index folds all of them onto one or two entries, so every
+// translation fell through to the page map.
+func TestTranslationCacheKeepsHammerStrides(t *testing.T) {
+	const base = 0x7000_0000 // the attack buffer's base address
+	a := newAlloc(t, 64<<20, FirstFit)
+	s := NewAddressSpace(a)
+	if err := s.Map(base, 16<<20); err != nil {
+		t.Fatal(err)
+	}
+	var vas []uint64
+	for k := uint64(0); k < 16; k++ {
+		vas = append(vas, base+k*32*PageSize) // 32 pages apart
+	}
+	for k := uint64(0); k < 16; k++ {
+		vas = append(vas, base+(1024+k*64)*PageSize) // 64 pages apart
+	}
+	for round := 0; round < 3; round++ {
+		// Alternate between the two strides, as a hammer iteration does.
+		for i := 0; i < 16; i++ {
+			for _, va := range []uint64{vas[i], vas[16+i]} {
+				if _, err := s.Translate(va); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, va := range vas {
+			vpn := va >> pageShift
+			if s.tlb[tlbSlot(vpn)].tag != vpn+1 {
+				t.Fatalf("round %d: page %#x is not cached; its entry holds tag %#x",
+					round, vpn, s.tlb[tlbSlot(vpn)].tag)
+			}
+		}
+	}
+}
