@@ -17,12 +17,13 @@ race:
 	$(GO) test -race -timeout 20m ./...
 
 # Ten seconds per fuzz target: enough to shake out regressions in the
-# mapper round-trip, cache-policy, cache-replay and lease-upload invariants
-# without stalling CI.
+# mapper round-trip, cache-policy, cache-replay, request-ring and
+# lease-upload invariants without stalling CI.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMapperRoundTrip -fuzztime 10s ./internal/dram
 	$(GO) test -run '^$$' -fuzz FuzzPolicyInvariants -fuzztime 10s ./internal/cache
 	$(GO) test -run '^$$' -fuzz FuzzReplayMatchesAccess -fuzztime 10s ./internal/cache
+	$(GO) test -run '^$$' -fuzz FuzzPeriodicRingMatchesPerOp -fuzztime 10s ./internal/machine
 	$(GO) test -run '^$$' -fuzz FuzzFaultSpec -fuzztime 10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzJournal -fuzztime 10s ./internal/journal
 	$(GO) test -run '^$$' -fuzz FuzzLeaseUpload -fuzztime 10s ./internal/sweepd

@@ -302,3 +302,80 @@ func TestInferencePrefersActualPolicy(t *testing.T) {
 		t.Errorf("inference ranked %s first, want lru; ranking: %v", scores[0].Policy, scores)
 	}
 }
+
+// TestHammerPeriodContract pins the machine.PeriodicProgram contract the
+// batched core's request ring relies on instead of reading views: at every
+// committed position p, Next and every NextRun view serve iter[p mod
+// len(iter)], the iteration never changes, and an iteration budget ends the
+// stream with OpDone exactly when it is spent.
+func TestHammerPeriodContract(t *testing.T) {
+	builds := []struct {
+		name  string
+		build func(Options) (machine.PeriodicProgram, error)
+	}{
+		{"double-sided", func(o Options) (machine.PeriodicProgram, error) { return NewDoubleSidedFlush(o) }},
+		{"single-sided", func(o Options) (machine.PeriodicProgram, error) { return NewSingleSidedFlush(o) }},
+		{"clflush-free", func(o Options) (machine.PeriodicProgram, error) { return NewClflushFree(o) }},
+	}
+	for _, b := range builds {
+		name, build := b.name, b.build
+		for _, budget := range []uint64{0, 3, 40} {
+			m := testMachine(t)
+			opts := baseOptions(m)
+			opts.MaxIterations = budget
+			p, err := build(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Spawn(0, p); err != nil {
+				t.Fatal(err)
+			}
+			_, iter := p.Period()
+			want := append([]machine.Op(nil), iter...)
+			per := uint64(len(want))
+			rng := sim.NewRand(budget + 1)
+			var pos uint64
+			for step := 0; step < 2000; step++ {
+				committed, it := p.Period()
+				if committed != pos || len(it) != len(want) || &it[0] != &iter[0] {
+					t.Fatalf("%s/%d: Period = (%d, %d ops at %p), want (%d, the iteration at %p)",
+						name, budget, committed, len(it), &it[0], pos, &iter[0])
+				}
+				if budget > 0 && pos == budget*per {
+					if op := p.Next(); op.Kind != machine.OpDone {
+						t.Fatalf("%s/%d: Next after the budget = %+v, want OpDone", name, budget, op)
+					}
+					if v := p.NextRun(64); len(v) != 1 || v[0].Kind != machine.OpDone {
+						t.Fatalf("%s/%d: NextRun after the budget = %+v, want [OpDone]", name, budget, v)
+					}
+					break
+				}
+				if rng.Intn(3) == 0 {
+					if op := p.Next(); op != want[pos%per] {
+						t.Fatalf("%s/%d: Next at %d = %+v, want %+v", name, budget, pos, op, want[pos%per])
+					}
+					pos++
+					continue
+				}
+				limit := 1 + rng.Intn(600)
+				view := p.NextRun(limit)
+				if len(view) == 0 || len(view) > limit || budget > 0 && pos+uint64(len(view)) > budget*per {
+					t.Fatalf("%s/%d: NextRun(%d) at %d gave %d ops", name, budget, limit, pos, len(view))
+				}
+				for k, op := range view {
+					if op != want[(pos+uint64(k))%per] {
+						t.Fatalf("%s/%d: view at %d, op %d = %+v, want %+v", name, budget, pos, k, op, want[(pos+uint64(k))%per])
+					}
+				}
+				n := rng.Intn(len(view) + 1)
+				p.Advance(n)
+				pos += uint64(n)
+			}
+			for k, op := range iter {
+				if op != want[k] {
+					t.Fatalf("%s/%d: the iteration changed at op %d", name, budget, k)
+				}
+			}
+		}
+	}
+}

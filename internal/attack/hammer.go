@@ -68,7 +68,6 @@ type hammerCore struct {
 	unrolled   []machine.Op // whole iterations repeated, for contiguous batch views
 	execOps    uint64       // operations committed (served by Next or Advance)
 	aggPerIter uint64
-	perIter    int // len(ops), or 0 when the iteration holds an OpCompute
 }
 
 func (h *hammerCore) Name() string { return h.name }
@@ -151,7 +150,7 @@ func (h *hammerCore) NextRun(max int) []machine.Op {
 func (h *hammerCore) Advance(n int) { h.execOps += uint64(n) }
 
 // Period implements machine.PeriodicProgram.
-func (h *hammerCore) Period() (uint64, int) { return h.execOps, h.perIter }
+func (h *hammerCore) Period() (uint64, []machine.Op) { return h.execOps, h.ops }
 
 // seal pre-unrolls the iteration into a ring of whole iterations so NextRun
 // serves long contiguous views regardless of the iteration length. Called at
@@ -165,12 +164,6 @@ func (h *hammerCore) seal() {
 	h.unrolled = make([]machine.Op, 0, copies*iterLen)
 	for i := 0; i < copies; i++ {
 		h.unrolled = append(h.unrolled, h.ops...)
-	}
-	h.perIter = iterLen
-	for _, op := range h.ops {
-		if op.Kind == machine.OpCompute {
-			h.perIter = 0
-		}
 	}
 }
 

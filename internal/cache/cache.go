@@ -283,9 +283,13 @@ func (l *Level) victim(set int) int {
 	case l.lruOrder != nil:
 		return int(l.lruOrder[set*l.ways])
 	case l.plruBits != nil:
-		// Lowest index whose MRU bit is cleared; touch never leaves all
-		// bits set, so the result is always a real way.
-		return bits.TrailingZeros64(^l.plruBits[set])
+		// Lowest index whose MRU bit is cleared. Only a 1-way set has all
+		// its bits set after touch; its one way is the victim, as in
+		// bitPLRUPolicy.Victim.
+		if v := bits.TrailingZeros64(^l.plruBits[set]); v < l.ways {
+			return v
+		}
+		return 0
 	default:
 		return l.policies[set].Victim()
 	}
@@ -505,17 +509,19 @@ func (l *Level) Invalidate(pa uint64) (present, dirty bool) {
 }
 
 // MarkDirty flags the line for pa as dirty if present (used for writebacks
-// arriving from an inner level of an inclusive hierarchy).
-func (l *Level) MarkDirty(pa uint64) {
+// arriving from an inner level of an inclusive hierarchy) and reports
+// whether it was.
+func (l *Level) MarkDirty(pa uint64) bool {
 	base := l.setIndex(pa) * l.ways
 	set := l.flat[base : base+l.ways]
 	want := tagOf(pa)<<lineTagShift | lineValid
 	for i, w := range set {
 		if w&^lineDirty == want {
 			set[i] = w | lineDirty
-			return
+			return true
 		}
 	}
+	return false
 }
 
 // ResidentWays returns how many valid lines the set containing pa holds.

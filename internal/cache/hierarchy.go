@@ -315,13 +315,29 @@ func (h *Hierarchy) fill(from int, pa uint64, write bool, now sim.Cycles, hinted
 			}
 			continue
 		}
-		// Inner-level victim: push dirty data one level down (it is present
-		// there by inclusion).
+		// Inner-level victim: push dirty data down to the first level that
+		// holds the line. The next level may have evicted it earlier in this
+		// same fill (inner levels are not inclusive of each other); the LLC
+		// holds it by inclusion, and memory takes it if nothing does.
 		if dirty {
-			h.levels[i+1].MarkDirty(ev.PA)
+			wb += h.writeBack(i+1, ev.PA, now)
 		}
 	}
 	return wb
+}
+
+// writeBack marks the dirty line pa dirty in the first level from `from` on
+// that holds it, or writes it to memory when none does, returning the
+// number of memory writebacks.
+func (h *Hierarchy) writeBack(from int, pa uint64, now sim.Cycles) int {
+	for _, l := range h.levels[from:] {
+		if l.MarkDirty(pa) {
+			return 0
+		}
+	}
+	h.mem.Access(pa, true, now)
+	h.stats.MemWrites++
+	return 1
 }
 
 // Flush implements CLFLUSH: the line is invalidated in every level and a

@@ -419,3 +419,58 @@ func TestSandyBridgeConfigAndSourceStrings(t *testing.T) {
 		t.Error("unknown source string")
 	}
 }
+
+// TestHierarchyDirtyInnerVictimReachesMemory stores to 22 lines congruent
+// in every Sandy Bridge level, 40 times over. L1 and L2 evict in lockstep,
+// so the dirty line an L1 fill evicts has already left L2 in the same fill;
+// its data must still move down to the LLC and, when the LLC evicts the
+// line, to memory. Every line is stored to, so every LLC eviction writes
+// back.
+func TestHierarchyDirtyInnerVictimReachesMemory(t *testing.T) {
+	h, mem := newTestHierarchy(t)
+	var lines []uint64
+	for i := uint64(0); len(lines) < 22; i++ {
+		pa := 0x40_0000 + i<<17
+		if len(lines) == 0 || h.LLC().Congruent(pa, lines[0]) {
+			lines = append(lines, pa)
+		}
+	}
+	for pass := 0; pass < 40; pass++ {
+		for _, pa := range lines {
+			h.Access(pa, true, 0)
+		}
+	}
+	ev := h.LLC().Stats().Evictions
+	if st := h.Stats(); ev == 0 || st.MemWrites != ev || uint64(mem.writes) != ev {
+		t.Errorf("LLC evicted %d stored lines; memory writes: %d counted, %d reached memory; want one per eviction",
+			ev, st.MemWrites, mem.writes)
+	}
+}
+
+// TestOneWayBitPLRUEvicts drives a 1-way Bit-PLRU level through
+// evictions: its one way is every victim, as bitPLRUPolicy.Victim says.
+func TestOneWayBitPLRUEvicts(t *testing.T) {
+	l, err := NewLevel(LevelConfig{Name: "dm", SizeKB: 1, Ways: 1, Slices: 1, Policy: BitPLRU, Latency: 4}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := MustPolicy(BitPLRU, 1, nil)
+	stride := uint64(l.Sets() * LineSize)
+	for i := uint64(0); i < 8; i++ {
+		pa := i * stride
+		ev, evicted := l.Fill(pa, i%2 == 0)
+		p.Touch(0)
+		if evicted != (i > 0) || evicted && (ev.PA != pa-stride || ev.Dirty != (i%2 == 1)) {
+			t.Fatalf("fill %d evicted %+v (%v), want line %#x dirty %v", i, ev, evicted, pa-stride, i%2 == 1)
+		}
+		if !l.Access(pa, false) {
+			t.Fatalf("fill %d: line %#x missing", i, pa)
+		}
+		if v, want := l.victim(l.setIndex(pa)), p.Victim(); v != want {
+			t.Fatalf("fill %d: victim way %d, policy says %d", i, v, want)
+		}
+	}
+	if st := l.Stats(); st.Evictions != 7 || st.Writebacks != 4 {
+		t.Errorf("stats %+v, want 7 evictions and 4 writebacks", st)
+	}
+}

@@ -42,9 +42,10 @@ import (
 //     against no memory, which rebuilds the cache state and adds the
 //     counter increments of the partial cycle.
 //
-// Only memsys.AccessRun reaches replay, with the requests the batched core
-// tags with their position in a machine.PeriodicProgram's iteration. Per-op
-// stepping never tags, so StepBatch=1 stays the unreplayed reference.
+// Only memsys.AccessRun reaches replay, with the requests of the batched
+// core's request ring, tagged with their position in a
+// machine.PeriodicProgram's iteration. Per-op stepping never tags, so
+// StepBatch=1 stays the unreplayed reference.
 // Replay is off for policies kept behind the Policy interface (random,
 // SRRIP, ...), for TrueLRU wider than 8 ways and with NextLinePrefetch.
 
@@ -144,23 +145,47 @@ func (h *Hierarchy) initReplay() {
 // 1-based position in the program's iteration, so pos 1 opens an
 // iteration. memsys.AccessRun is its only caller.
 func (h *Hierarchy) AccessAt(pa uint64, write bool, pos uint32, now sim.Cycles) Result {
-	if !h.rp.on {
+	r := &h.rp
+	if !r.on {
 		return h.Access(pa, write, now)
 	}
+	pa = lineAlign(pa)
 	kind := uint8(0)
 	if write {
 		kind = opWrite
 	}
-	return h.step(lineAlign(pa), kind, pos, now)
+	if op := r.quick(pa, kind); op != nil {
+		return Result{Latency: op.lat, Source: DataSource(op.src)}
+	}
+	return h.step(pa, kind, pos, now)
 }
 
 // FlushAt is Flush for a request of a periodic program; see AccessAt.
 func (h *Hierarchy) FlushAt(pa uint64, pos uint32, now sim.Cycles) (sim.Cycles, int) {
-	if !h.rp.on {
+	r := &h.rp
+	if !r.on {
 		return h.Flush(pa, now)
 	}
-	res := h.step(lineAlign(pa), opFlush, pos, now)
+	pa = lineAlign(pa)
+	if op := r.quick(pa, opFlush); op != nil {
+		return op.lat, 0
+	}
+	res := h.step(pa, opFlush, pos, now)
 	return res.Latency, res.Writebacks
+}
+
+// quick serves the common replayed request straight from its record: one
+// that neither misses the LLC nor writes back and does not close the cycle,
+// for which apply would reach no memory and move no counter. It returns nil
+// for any other request, which step then serves.
+func (r *replay) quick(pa uint64, kind uint8) *replayOp {
+	if r.mode == rpReplaying {
+		if op := &r.cycle[r.cur]; op.flags == kind && op.pa == pa && r.cur+1 < len(r.cycle) {
+			r.cur++
+			return op
+		}
+	}
+	return nil
 }
 
 // step serves one tagged request: replayed when it matches the cycle,

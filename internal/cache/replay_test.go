@@ -156,8 +156,7 @@ func (s *byteSource) next() int {
 
 // fuzzConfig builds a small hierarchy from the input: one to three levels of
 // 1–12 ways, 1–8 sets and 1–2 slices, under TrueLRU and BitPLRU mostly,
-// sometimes random or SRRIP, sometimes with the next-line prefetcher. A
-// 1-way level is always TrueLRU: 1-way BitPLRU picks victim way 1.
+// sometimes random or SRRIP, sometimes with the next-line prefetcher.
 func fuzzConfig(s *byteSource) HierarchyConfig {
 	cfg := HierarchyConfig{FlushLatency: 8, Seed: uint64(s.next())}
 	n := 1 + s.next()%3
@@ -169,9 +168,6 @@ func fuzzConfig(s *byteSource) HierarchyConfig {
 			sets *= 2
 		}
 		pol := []PolicyKind{TrueLRU, TrueLRU, TrueLRU, BitPLRU, BitPLRU, BitPLRU, Random, SRRIP}[s.next()%8]
-		if ways == 1 {
-			pol = TrueLRU
-		}
 		lat := sim.Cycles(4 + 8*i)
 		var thr sim.Cycles
 		if s.next()%2 == 0 {

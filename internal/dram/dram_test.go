@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -322,6 +323,27 @@ func TestVictimActivationResetsAccumulator(t *testing.T) {
 	hammerN(200)
 	if m.FlipCount() == 0 {
 		t.Error("eventually the row should flip again once re-hammered past threshold")
+	}
+}
+
+// TestDisturbingOneRowAllocatesLittle bounds what the first disturbance
+// of a bank costs: the page table and the pages of the activated row's
+// neighbours, not a victim record for every row of the bank (32,768 rows of
+// 32 B, 1 MB, on the default geometry).
+func TestDisturbingOneRowAllocatesLittle(t *testing.T) {
+	m, err := New(DefaultConfig(sim.DefaultFreq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m.RefreshRow(3, 1000, 5000)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 16<<10 {
+		t.Errorf("disturbing one row allocated %d bytes, want at most %d", got, 16<<10)
+	}
+	if u := m.VictimUnits(3, 1001, 5000); u != 1 {
+		t.Errorf("neighbour accumulator = %g, want 1", u)
 	}
 }
 

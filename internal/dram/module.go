@@ -85,7 +85,7 @@ type Module struct {
 	trefi  sim.Cycles
 
 	engine      *commandEngine        // nil unless Config.Detailed is set
-	disturbed   []bankDisturb         // per-bank dense accumulators, index = bank
+	disturbed   []bankDisturb         // per-bank victim records, index = bank
 	planted     map[uint64][]weakCell // explicit weak cells (tests, harness)
 	flips       []BitFlip
 	transient   []BitFlip    // fault-injected transient errors (see TransientFlips)
@@ -124,12 +124,30 @@ type Module struct {
 	stats Stats
 }
 
-// bankDisturb is one bank's disturbance state, stored densely by row so the
-// activation path indexes an array instead of hashing (bank,row) keys. The
-// slice is allocated on the bank's first disturbance; each victim carries
+// victimPageRows is how many rows' victim records one page holds.
+const victimPageRows = 64
+
+// victimPage is one page of a bank's victim records (64 × 32 B = 2 KB).
+type victimPage [victimPageRows]victim
+
+// bankDisturb is one bank's disturbance state: victim records indexed by
+// row, so the activation path indexes arrays instead of hashing (bank,row)
+// keys, held in fixed-size pages allocated on their first disturbance. A
+// hammer loop disturbs a handful of rows, so a bank costs its page table
+// and a page or two, not a record for each of its rows. Each victim carries
 // its own cached flip threshold.
 type bankDisturb struct {
-	vic []victim // accumulators + cached thresholds, index = row
+	pages []*victimPage // index = row / victimPageRows; nil until disturbed
+}
+
+// peek returns row's record, or nil when its page was never disturbed.
+func (bd *bankDisturb) peek(row int) *victim {
+	if p := uint(row) / victimPageRows; p < uint(len(bd.pages)) {
+		if pg := bd.pages[p]; pg != nil {
+			return &pg[uint(row)%victimPageRows]
+		}
+	}
+	return nil
 }
 
 func victimKey(bank, row int) uint64 { return uint64(bank)<<32 | uint64(uint32(row)) }
@@ -258,8 +276,8 @@ func (m *Module) PlantWeakRow(bank, row int, units float64) error {
 // dropCachedThreshold marks a row's dense threshold cache entry as
 // uncomputed after planting changes the row's weak cells.
 func (m *Module) dropCachedThreshold(bank, row int) {
-	if bd := &m.disturbed[bank]; bd.vic != nil {
-		bd.vic[row].thr = 0
+	if v := m.disturbed[bank].peek(row); v != nil {
+		v.thr = 0
 	}
 }
 
@@ -346,11 +364,10 @@ func (m *Module) VictimUnits(bank, row int, now sim.Cycles) float64 {
 	if bank < 0 || bank >= len(m.disturbed) || row < 0 || row >= m.cfg.Geometry.RowsPerBank {
 		return 0
 	}
-	bd := &m.disturbed[bank]
-	if bd.vic == nil {
+	v := m.disturbed[bank].peek(row)
+	if v == nil {
 		return 0
 	}
-	v := &bd.vic[row]
 	if r := m.lastScheduledRefresh(row, now); r > v.lastReset {
 		return 0
 	}
@@ -583,13 +600,12 @@ func (m *Module) activate(c Coord, now sim.Cycles) {
 	b.lastActRow = c.Row
 	m.stats.Activations++
 
-	// The activated row's own charge is restored. An unallocated bank has no
-	// accumulated charge anywhere, so there is nothing to reset (and for an
-	// allocated bank, resetting a still-zero accumulator is harmless: only
-	// lastReset changes, and simulated time is monotone, so every later
-	// refresh-sweep comparison decides the same way).
-	if bd := &m.disturbed[c.Bank]; bd.vic != nil {
-		v := &bd.vic[c.Row]
+	// The activated row's own charge is restored. A page that was never
+	// disturbed holds no charge, so there is nothing to reset: resetting its
+	// all-zero record would only move lastReset, and simulated time is
+	// monotone, so every later refresh-sweep comparison decides the same way
+	// without it.
+	if v := m.disturbed[c.Bank].peek(c.Row); v != nil {
 		v.units = 0
 		v.lastReset = now
 		v.lastSide = 0
@@ -621,10 +637,16 @@ func (m *Module) disturb(bank, row int, side int8, scale float64, now sim.Cycles
 		return
 	}
 	bd := &m.disturbed[bank]
-	if bd.vic == nil {
-		bd.vic = make([]victim, m.cfg.Geometry.RowsPerBank)
+	if bd.pages == nil {
+		bd.pages = make([]*victimPage, (m.cfg.Geometry.RowsPerBank+victimPageRows-1)/victimPageRows)
 	}
-	v := &bd.vic[row]
+	p := uint(row) / victimPageRows
+	pg := bd.pages[p]
+	if pg == nil {
+		pg = new(victimPage)
+		bd.pages[p] = pg
+	}
+	v := &pg[uint(row)%victimPageRows]
 	// Lazy periodic-refresh reset.
 	if r := m.lastScheduledRefresh(row, now); r > v.lastReset {
 		v.units = 0

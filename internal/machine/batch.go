@@ -48,17 +48,20 @@ type BatchProgram interface {
 }
 
 // PeriodicProgram is optionally implemented by BatchPrograms whose stream is
-// one fixed iteration repeated: the operation at committed position p is
-// always the one at p mod the iteration length. While such a program is
-// the only one running, the batched core tags each memory request with its
-// position in the iteration (memsys.Req.Pos), which lets the cache
-// hierarchy replay a cache state that provably repeats. Per-op stepping
-// never tags, so BatchCap=1 remains the unreplayed reference.
+// one fixed iteration repeated: the operation at committed position p, from
+// Next or from any NextRun view, is always iter[p mod len(iter)]. While such
+// a program is the only one running, the batched core serves it from a ring
+// of the iteration's requests, translated once (ringFor), and reads of a
+// view only its length and whether it is the terminal OpDone. The ring tags
+// each request with its position in the iteration (memsys.Req.Pos), which
+// lets the cache hierarchy replay a cache state that provably repeats.
+// Per-op stepping never tags, so BatchCap=1 remains the unreplayed
+// reference.
 type PeriodicProgram interface {
 	BatchProgram
-	// Period reports how many operations are committed and how many make
-	// one iteration; perIter is 0 when the iteration holds an OpCompute.
-	Period() (committed uint64, perIter int)
+	// Period reports how many operations are committed and the iteration,
+	// which must not change after Init.
+	Period() (committed uint64, iter []Op)
 }
 
 // runCore advances c — which the caller established as the earliest active
@@ -105,12 +108,17 @@ func (m *Machine) runCore(c *Core, until sim.Cycles) error {
 		m.current = c
 		ops := bp.NextRun(m.batchCap)
 		m.current = nil
-		var pos uint64
-		per := 0
-		if pp != nil {
-			pos, per = pp.Period()
+		var n int
+		if pp != nil && len(ops) > 0 && ops[0].Kind != OpDone {
+			committed, iter := pp.Period()
+			if c.ringFor(iter) {
+				n = m.execRing(c, int(committed%uint64(len(iter))), len(ops), horizon, gen)
+			} else {
+				n = m.execView(c, ops, horizon, gen)
+			}
+		} else {
+			n = m.execView(c, ops, horizon, gen)
 		}
-		n := m.execView(c, ops, horizon, gen, pos, per)
 		if n == 0 {
 			// Heterogeneous head (OpDone, invalid op, translation fault,
 			// empty view): one per-op step reproduces the bookkeeping and
@@ -122,92 +130,147 @@ func (m *Machine) runCore(c *Core, until sim.Cycles) error {
 	return c.Err
 }
 
+// reqKind maps a memory operation to its request kind; ok is false for
+// every other operation.
+func reqKind(k OpKind) (kind memsys.ReqKind, ok bool) {
+	switch k {
+	case OpLoad:
+		return memsys.ReqLoad, true
+	case OpStore:
+		return memsys.ReqStore, true
+	case OpFlush:
+		return memsys.ReqFlush, true
+	}
+	return 0, false
+}
+
+// ringFor makes c.ring the requests of iter in c's address space at its
+// current generation, rebuilding it when the address space has changed
+// since it was built: the iteration translated, typed and tagged with each
+// request's 1-based position, repeated as whole iterations to at least
+// DefaultBatchCap entries. Translation is a pure function of the page map,
+// so the ring holds exactly the requests the gather in execView would
+// build. It reports false, and leaves the ring empty until the next remap,
+// when the iteration holds an operation a ring cannot carry: an OpCompute,
+// or a VA that does not translate, which execView and stepCore then report.
+func (c *Core) ringFor(iter []Op) bool {
+	as := c.Proc.AS
+	if c.ringAS == as && c.ringGen == as.Gen() {
+		return len(c.ring) > 0
+	}
+	c.ringAS, c.ringGen = as, as.Gen()
+	c.ring = c.ring[:0]
+	for j, op := range iter {
+		kind, ok := reqKind(op.Kind)
+		if !ok {
+			c.ring = c.ring[:0]
+			return false
+		}
+		pa, err := as.Translate(op.VA)
+		if err != nil {
+			c.ring = c.ring[:0]
+			return false
+		}
+		c.ring = append(c.ring, memsys.Req{VA: op.VA, PA: pa, Kind: kind, Pos: uint32(j + 1)})
+	}
+	for len(c.ring) > 0 && len(c.ring) < DefaultBatchCap {
+		c.ring = append(c.ring, c.ring[:len(iter)]...)
+	}
+	return len(c.ring) > 0
+}
+
+// execRing executes n operations of c's periodic program from c.ring,
+// starting at ring index start (the committed position in the iteration),
+// and returns how many completed. It hands memsys.AccessRun windows of the
+// ring, wrapping at its end, and stops like execView — at the horizon or on
+// a kernel-generation change — and also when the address space moves to a
+// new generation under it (a handler remapped), leaving the rest to a
+// rebuilt ring.
+func (m *Machine) execRing(c *Core, start, n int, horizon sim.Cycles, gen uint64) int {
+	kern := m.Kernel
+	as := c.Proc.AS
+	done, s := 0, start
+	for done < n && c.Now < horizon && kern.gen == gen && as.Gen() == c.ringGen {
+		end := min(len(c.ring), s+n-done)
+		k := m.accessRun(c, c.ring[s:end], horizon)
+		m.ringServed += uint64(k)
+		done += k
+		if s += k; s == len(c.ring) {
+			s = 0
+		}
+	}
+	return done
+}
+
 // execView executes a prefix of ops on c and returns how many operations
 // completed. It stops — always at an operation boundary — at the horizon, on
 // a kernel-generation change (a handler armed an earlier event), or before
 // the first operation the batched path cannot express (OpDone, invalid
-// kinds, translation faults). When per is non-zero, ops[0] is the program's
-// committed position pos of an iteration per operations long, and each
-// request is tagged with its 1-based position in the iteration.
-func (m *Machine) execView(c *Core, ops []Op, horizon sim.Cycles, gen uint64, pos uint64, per int) int {
+// kinds, translation faults).
+func (m *Machine) execView(c *Core, ops []Op, horizon sim.Cycles, gen uint64) int {
 	kern := m.Kernel
 	i := 0
 	for i < len(ops) && c.Now < horizon && kern.gen == gen {
-		switch ops[i].Kind {
-		case OpCompute:
+		if ops[i].Kind == OpCompute {
 			c.Stats.Ops++
 			c.Stats.ComputeCycles += ops[i].Cycles
 			c.Now += ops[i].Cycles
 			i++
-		case OpLoad, OpStore, OpFlush:
-			reqs := c.reqs[:0]
-			// One-entry page memo: nothing can remap between gather
-			// iterations, so a VA on the same page as the previous op reuses
-			// its frame. memoPage starts unaligned, so it never matches.
-			memoPage, memoFrame := uint64(1), uint64(0)
-			var phase uint32
-			if per > 0 {
-				phase = uint32((pos + uint64(i)) % uint64(per))
+			continue
+		}
+		reqs := c.reqs[:0]
+		// One-entry page memo: nothing can remap between gather iterations,
+		// so a VA on the same page as the previous op reuses its frame.
+		// memoPage starts unaligned, so it never matches.
+		memoPage, memoFrame := uint64(1), uint64(0)
+		for _, op := range ops[i:] {
+			kind, ok := reqKind(op.Kind)
+			if !ok {
+				break
 			}
-		gather:
-			for j := i; j < len(ops); j++ {
-				var kind memsys.ReqKind
-				switch ops[j].Kind {
-				case OpLoad:
-					kind = memsys.ReqLoad
-				case OpStore:
-					kind = memsys.ReqStore
-				case OpFlush:
-					kind = memsys.ReqFlush
-				default:
-					break gather
+			va := op.VA
+			var pa uint64
+			if page := va &^ uint64(vm.PageSize-1); page == memoPage {
+				pa = memoFrame | va&uint64(vm.PageSize-1)
+			} else {
+				var err error
+				pa, err = c.Proc.AS.Translate(va)
+				if err != nil {
+					// Leave the faulting op for the per-op path, which
+					// reports it with exact wrapping.
+					break
 				}
-				va := ops[j].VA
-				var pa uint64
-				if page := va &^ uint64(vm.PageSize-1); page == memoPage {
-					pa = memoFrame | va&uint64(vm.PageSize-1)
-				} else {
-					var err error
-					pa, err = c.Proc.AS.Translate(va)
-					if err != nil {
-						// Leave the faulting op for the per-op path, which
-						// reports it with exact wrapping.
-						break gather
-					}
-					memoPage = page
-					memoFrame = pa &^ uint64(vm.PageSize-1)
-				}
-				var tag uint32
-				if per > 0 {
-					tag = phase + 1
-					if phase++; phase == uint32(per) {
-						phase = 0
-					}
-				}
-				reqs = append(reqs, memsys.Req{VA: va, PA: pa, Kind: kind, Pos: tag})
+				memoPage = page
+				memoFrame = pa &^ uint64(vm.PageSize-1)
 			}
-			c.reqs = reqs
-			if len(reqs) == 0 {
-				return i
-			}
-			m.current = c
-			rr := m.Mem.AccessRun(reqs, c.Proc.ID, c.ID, &c.Now, horizon, &kern.gen)
-			m.current = nil
-			c.Stats.Ops += uint64(rr.Executed)
-			c.Stats.Loads += rr.Loads
-			c.Stats.Stores += rr.Stores
-			c.Stats.Flushes += rr.Flushes
-			c.Stats.MemCycles += rr.MemCycles
-			if rr.HadMem {
-				c.Proc.LastLatency = rr.LastLatency
-			}
-			i += rr.Executed
-			if rr.Executed < len(reqs) {
-				return i
-			}
-		default:
+			reqs = append(reqs, memsys.Req{VA: va, PA: pa, Kind: kind})
+		}
+		c.reqs = reqs
+		if len(reqs) == 0 {
+			return i
+		}
+		k := m.accessRun(c, reqs, horizon)
+		i += k
+		if k < len(reqs) {
 			return i
 		}
 	}
 	return i
+}
+
+// accessRun executes reqs on c through memsys.AccessRun up to the horizon
+// and books what ran on c, returning how many requests completed.
+func (m *Machine) accessRun(c *Core, reqs []memsys.Req, horizon sim.Cycles) int {
+	m.current = c
+	rr := m.Mem.AccessRun(reqs, c.Proc.ID, c.ID, &c.Now, horizon, &m.Kernel.gen)
+	m.current = nil
+	c.Stats.Ops += uint64(rr.Executed)
+	c.Stats.Loads += rr.Loads
+	c.Stats.Stores += rr.Stores
+	c.Stats.Flushes += rr.Flushes
+	c.Stats.MemCycles += rr.MemCycles
+	if rr.HadMem {
+		c.Proc.LastLatency = rr.LastLatency
+	}
+	return rr.Executed
 }

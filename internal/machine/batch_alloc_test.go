@@ -10,14 +10,15 @@ type periodicLoop struct{ loadLoop }
 
 var _ PeriodicProgram = (*periodicLoop)(nil)
 
-func (p *periodicLoop) Period() (uint64, int) { return p.i, int(p.lines) }
+func (p *periodicLoop) Period() (uint64, []Op) { return p.i, p.ring[:p.lines] }
 
 // TestBatchedEpochSteadyStateAllocs pins the allocation-free property of the
 // epoch planner and batched inner loop: once the core's request scratch and
 // the memory system's lazy state are warm, advancing the machine through
-// many epochs must not allocate. With a periodic program that covers cache
-// replay, and, when each run first settles the hierarchy through Contains,
-// the materialisation and the re-recording that follow an interruption.
+// many epochs must not allocate. With a periodic program that covers the
+// request ring and cache replay, and, when each run first settles the
+// hierarchy through Contains, the materialisation and the re-recording that
+// follow an interruption.
 func TestBatchedEpochSteadyStateAllocs(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -53,6 +54,9 @@ func TestBatchedEpochSteadyStateAllocs(t *testing.T) {
 			}
 			if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
 				t.Errorf("steady-state batched Run allocates %.1f times per run, want 0", allocs)
+			}
+			if periodic := m.Cores[0].pprog != nil; periodic != (m.ringServed > 0) {
+				t.Errorf("the ring served %d requests of a program that is periodic: %v", m.ringServed, periodic)
 			}
 		})
 	}

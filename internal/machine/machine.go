@@ -254,6 +254,11 @@ type Core struct {
 	bprog BatchProgram
 	// pprog is bprog as a PeriodicProgram, when it is one.
 	pprog PeriodicProgram
+	// ring is pprog's iteration as requests, translated in ringAS at its
+	// generation ringGen (see ringFor); Spawn and SpawnShared drop it.
+	ring    []memsys.Req
+	ringAS  *vm.AddressSpace
+	ringGen uint64
 }
 
 // Config sets up a Machine.
@@ -298,6 +303,8 @@ type Machine struct {
 	current  *Core // core whose op is executing (for Charge)
 	spawnGen int   // bumped by Spawn/SpawnShared; invalidates Run's fast path
 	batchCap int   // resolved Config.BatchCap (<=1 means per-op stepping)
+	// ringServed counts the memory requests served from cores' rings.
+	ringServed uint64
 }
 
 // New builds a machine.
@@ -350,7 +357,7 @@ func (m *Machine) Spawn(core int, prog Program) (*Proc, error) {
 	c.Prog = prog
 	c.Done = false
 	c.Err = nil
-	c.bprog, c.pprog = nil, nil
+	c.bprog, c.pprog, c.ring, c.ringAS = nil, nil, nil, nil
 	if bp, ok := prog.(BatchProgram); ok && m.batchCap > 1 {
 		c.bprog = bp
 		c.pprog, _ = prog.(PeriodicProgram)

@@ -1,0 +1,72 @@
+package machine_test
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/machine"
+	"repro/internal/scenario"
+	"repro/internal/workload"
+)
+
+// ringShare runs spec for d and reports how many memory requests (loads,
+// stores and flushes) its cores made and how many the ring served.
+func ringShare(t *testing.T, spec scenario.Spec, d time.Duration) (reqs, served uint64) {
+	t.Helper()
+	in, err := scenario.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.RunFor(d); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range in.Machine.Cores {
+		reqs += c.Stats.Loads + c.Stats.Stores + c.Stats.Flushes
+	}
+	if reqs == 0 {
+		t.Fatal("no memory requests")
+	}
+	return reqs, machine.RingServed(in.Machine)
+}
+
+// TestRingEngages pins where the translated request ring serves a
+// periodic program: every memory request of each Table 1 attack and of a
+// clean fault-matrix replicate (the double-sided attack under
+// ANVIL-baseline), and none at StepBatch 1 or on the 4-core Table 3 heavy
+// point, whose co-runners keep the attack from running alone. Without it,
+// a change that silently fell back to gathering every view would only lose
+// speed.
+func TestRingEngages(t *testing.T) {
+	d := 4 * time.Millisecond
+	if testing.Short() {
+		d = time.Millisecond
+	}
+	for _, k := range scenario.AttackKinds() {
+		spec := scenario.Spec{Cores: 1, Seed: 3, Attack: &scenario.Attack{Kind: k}}
+		if reqs, served := ringShare(t, spec, d); served != reqs {
+			t.Errorf("%s: the ring served %d of %d memory requests, want all", k, served, reqs)
+		}
+	}
+	spec := scenario.Spec{Cores: 1, Seed: 7, Attack: &scenario.Attack{Kind: scenario.DoubleSidedFlush},
+		Defense: scenario.ANVILBaseline}
+	if reqs, served := ringShare(t, spec, d); served != reqs {
+		t.Errorf("fault-matrix clean replicate: the ring served %d of %d memory requests, want all", served, reqs)
+	}
+	attack := &scenario.Attack{Kind: scenario.ClflushFree}
+	heavy := []scenario.Workload{}
+	for _, name := range workload.HeavyLoadNames() {
+		heavy = append(heavy, scenario.Workload{Name: name})
+	}
+	off := []struct {
+		name string
+		spec scenario.Spec
+	}{
+		{"StepBatch=1", scenario.Spec{Cores: 1, Attack: attack, StepBatch: 1}},
+		{"table3 heavy", scenario.Spec{Cores: 4, Attack: attack, Defense: scenario.ANVILBaseline, Workloads: heavy}},
+	}
+	for _, c := range off {
+		if _, served := ringShare(t, c.spec, time.Millisecond); served != 0 {
+			t.Errorf("%s: the ring served %d memory requests, want none", c.name, served)
+		}
+	}
+}

@@ -53,7 +53,7 @@ func (m *Machine) SpawnShared(core int, prog Program) (*Proc, error) {
 		c.Prog = prog
 		c.Done = false
 		c.Err = nil
-		c.bprog, c.pprog = nil, nil
+		c.bprog, c.pprog, c.ring, c.ringAS = nil, nil, nil, nil
 		p.core = c
 	}
 	c.tasks = append(c.tasks, t)

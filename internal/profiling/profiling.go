@@ -1,9 +1,11 @@
 // Package profiling wires the standard pprof collectors into the CLIs.
-// The simulator's hot loop (machine.runCore -> machine.execView, which
-// gathers a run through vm.Translate -> memsys.AccessRun -> cache access or
-// replay -> dram Access -> PMU counters) is tuned against profiles of real
-// experiment runs, so every binary that drives experiments exposes
-// -cpuprofile and -memprofile flags through this package.
+// The simulator's hot loop (machine.runCore -> machine.execRing, which
+// serves a periodic program from its pre-translated request ring, or
+// machine.execView, which gathers a run through vm.Translate ->
+// memsys.AccessRun -> cache access or replay -> dram Access -> PMU
+// counters) is tuned against profiles of real experiment runs, so every
+// binary that drives experiments exposes -cpuprofile and -memprofile flags
+// through this package.
 package profiling
 
 import (

@@ -146,6 +146,7 @@ type AddressSpace struct {
 	alloc *Allocator
 	pages map[uint64]uint64 // virtual page number -> physical frame number
 	tlb   [tlbSize]tlbEntry
+	gen   uint64 // bumped by every mutator; see Gen
 }
 
 type tlbEntry struct {
@@ -157,6 +158,12 @@ type tlbEntry struct {
 func NewAddressSpace(alloc *Allocator) *AddressSpace {
 	return &AddressSpace{alloc: alloc, pages: make(map[uint64]uint64)}
 }
+
+// Gen reports the address space's generation: every call to Map,
+// MapContiguous, MapFrames or Unmap moves it, failed ones included, and
+// nothing else does. A translation made at one generation holds for as long
+// as Gen returns it.
+func (s *AddressSpace) Gen() uint64 { return s.gen }
 
 // Map allocates backing frames for [va, va+bytes). va must be page-aligned.
 // Frames come one page at a time from the allocator (ordinary mmap).
@@ -171,6 +178,7 @@ func (s *AddressSpace) MapContiguous(va, bytes uint64) error {
 }
 
 func (s *AddressSpace) mapPages(va, bytes uint64, contiguous bool) error {
+	s.gen++
 	if va%PageSize != 0 {
 		return fmt.Errorf("vm: unaligned mapping at %#x", va)
 	}
@@ -216,6 +224,7 @@ func (s *AddressSpace) mapPages(va, bytes uint64, contiguous bool) error {
 // release them back to the allocator, so share only frames whose lifetime
 // the caller manages.
 func (s *AddressSpace) MapFrames(va uint64, frames []uint64) error {
+	s.gen++
 	if va%PageSize != 0 {
 		return fmt.Errorf("vm: unaligned mapping at %#x", va)
 	}
@@ -247,6 +256,7 @@ func (s *AddressSpace) FrameOf(va uint64) (uint64, error) {
 // Unmap releases the pages backing [va, va+bytes). Unmapped pages in the
 // range are ignored.
 func (s *AddressSpace) Unmap(va, bytes uint64) {
+	s.gen++
 	n := (bytes + PageSize - 1) / PageSize
 	vpn := va >> pageShift
 	for i := uint64(0); i < n; i++ {

@@ -340,3 +340,41 @@ func TestTranslationCacheKeepsHammerStrides(t *testing.T) {
 		}
 	}
 }
+
+// TestGenMovesOnEveryMutator pins the generation the batched core keys its
+// translated request rings by: every Map, MapContiguous, MapFrames and
+// Unmap call moves it, a failed one too, and no translation does.
+func TestGenMovesOnEveryMutator(t *testing.T) {
+	s := NewAddressSpace(newAlloc(t, 64*PageSize, FirstFit))
+	frame := uint64(40)
+	mutators := []struct {
+		name string
+		fn   func() error
+	}{
+		{"Map", func() error { return s.Map(0, 2*PageSize) }},
+		{"MapContiguous", func() error { return s.MapContiguous(8*PageSize, 2*PageSize) }},
+		{"MapFrames", func() error { return s.MapFrames(16*PageSize, []uint64{frame}) }},
+		{"Map over a mapped page", func() error { s.Map(0, PageSize); return nil }},
+		{"Unmap", func() error { s.Unmap(0, PageSize); return nil }},
+		{"Unmap of nothing mapped", func() error { s.Unmap(32*PageSize, PageSize); return nil }},
+		{"Map again", func() error { return s.Map(0, PageSize) }},
+	}
+	for _, m := range mutators {
+		g := s.Gen()
+		if err := m.fn(); err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		if s.Gen() == g {
+			t.Errorf("%s left the generation at %d", m.name, g)
+		}
+		g = s.Gen()
+		for _, va := range []uint64{0, PageSize + 8, 8 * PageSize, 16 * PageSize, 32 * PageSize} {
+			s.Translate(va)
+			s.Mapped(va)
+			s.FrameOf(va)
+		}
+		if s.Gen() != g {
+			t.Errorf("after %s: translating moved the generation from %d to %d", m.name, g, s.Gen())
+		}
+	}
+}
