@@ -3,7 +3,7 @@ GO ?= go
 # Packages with a BenchmarkHotPath microbenchmark of the per-access pipeline.
 BENCH_PKGS := ./internal/cache ./internal/pmu ./internal/dram ./internal/machine
 
-.PHONY: all build test race fuzz-smoke fault-smoke resume-smoke serve-smoke worker-smoke vet lint fmt check bench bench-smoke
+.PHONY: all build test race fuzz-smoke fault-smoke resume-smoke serve-smoke worker-smoke vet lint fmt check bench bench-guard
 
 all: build test vet lint
 
@@ -136,27 +136,16 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Full benchmark run: the component hot paths (5 repetitions, median-
-# reduced) plus the end-to-end replicates/second sweep, reported two ways —
-# BENCH_PR3.json against the PR-3 pre-refactor baseline (recorded on a
-# different host; see bench/NOTES.md) and BENCH_PR7.json against the
-# same-machine pre-batching baseline in bench/baseline_pr7.txt, which also
-# carries the throughput metric.
+# The per-access hot-path microbenchmarks: 5 repetitions with allocation
+# counts. End-to-end speed is perfbench's (see bench-guard).
 bench:
-	$(GO) test -run '^$$' -bench BenchmarkHotPath -benchmem -count 5 $(BENCH_PKGS) | tee bench/current_pr7.txt
-	$(GO) test -run '^$$' -bench BenchmarkEndToEnd -count 3 ./internal/experiments | tee -a bench/current_pr7.txt
-	$(GO) run ./cmd/benchreport -baseline bench/baseline_pr3.txt -current bench/current_pr7.txt -out BENCH_PR3.json
-	$(GO) run ./cmd/benchreport -baseline bench/baseline_pr7.txt -current bench/current_pr7.txt -out BENCH_PR7.json
+	$(GO) test -run '^$$' -bench BenchmarkHotPath -benchmem -count 5 $(BENCH_PKGS)
 
-# CI-sized benchmark smoke: a handful of iterations proves the benchmarks
-# compile and run (and -benchmem keeps alloc regressions visible) without
-# spending CI minutes on stable timings. The end-to-end sweep then runs once
-# and benchreport's guardrail fails the target if quick replicates/second
-# drops below 80% of the committed same-machine baseline.
-bench-smoke:
-	$(GO) test -run '^$$' -bench BenchmarkHotPath -benchtime 100x -benchmem $(BENCH_PKGS)
-	$(GO) test -run '^$$' -bench BenchmarkEndToEnd ./internal/experiments | tee bench-smoke-e2e.txt
-	$(GO) run ./cmd/benchreport -baseline bench/baseline_pr7.txt -current bench-smoke-e2e.txt \
-		-min-ratio replicates/s=0.8 -out /dev/null
+# The paired benchmark guard CI runs: perfbench's hammer and lease workloads
+# on the tree at BASE and on this checkout, alternating, failing when the
+# checkout's median replicates_per_ref_s drops below 0.8x the base's.
+# Usage: make bench-guard BASE=origin/main (about 4 minutes).
+bench-guard:
+	bash .github/bench-guard.sh $(BASE)
 
 check: fmt build vet lint test race

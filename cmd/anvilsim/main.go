@@ -77,7 +77,6 @@ func run(attackKind, workloads, defName string, duration time.Duration, weakUnit
 	}
 	spec := scenario.Spec{
 		Seed:      seed,
-		Duration:  duration,
 		Defense:   scenario.DefenseKind(defName),
 		StepBatch: stepBatch,
 	}

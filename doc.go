@@ -11,7 +11,7 @@
 // of the evaluation. See DESIGN.md for the system inventory and
 // EXPERIMENTS.md for paper-vs-measured results.
 //
-// The top-level benchmarks in bench_test.go regenerate the evaluation:
+// cmd/tables regenerates the evaluation from the experiment registry:
 //
-//	go test -bench=. -benchtime=1x
+//	go run ./cmd/tables -quick
 package repro

@@ -9,28 +9,28 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/anvil"
 	"repro/internal/scenario"
 )
 
 func main() {
 	log.SetFlags(0)
 	fmt.Println("== run 1: unprotected machine ==")
-	flips, _ := run(scenario.NoDefense)
-	fmt.Printf("bit flips without ANVIL: %d\n\n", flips)
+	in := run(scenario.NoDefense)
+	fmt.Printf("bit flips without ANVIL: %d\n\n", in.Machine.Mem.DRAM.FlipCount())
 
 	fmt.Println("== run 2: same attack, ANVIL enabled ==")
-	flips, det := run(scenario.ANVILBaseline)
-	fmt.Printf("bit flips with ANVIL: %d\n", flips)
-	st := det.Stats()
+	in = run(scenario.ANVILBaseline)
+	m := in.Machine
+	fmt.Printf("bit flips with ANVIL: %d\n", m.Mem.DRAM.FlipCount())
+	st := in.Detector.Stats()
 	fmt.Printf("detections: %d, selective refreshes: %d\n", len(st.Detections), st.Refreshes)
 	if len(st.Detections) > 0 {
 		fmt.Printf("first detection: %.1f ms after the attack started, aggressors %v\n",
-			float64(st.Detections[0].Time)/2.6e6, st.Detections[0].Aggressors)
+			m.Freq.Millis(st.Detections[0].Time), st.Detections[0].Aggressors)
 	}
 }
 
-func run(def scenario.DefenseKind) (int, *anvil.Detector) {
+func run(def scenario.DefenseKind) *scenario.Instance {
 	// The paper's machine (2.6 GHz Sandy Bridge caches over 4 GB DDR3) with
 	// the attack on core 0 and the victim row planted as weak as the paper's
 	// module: it flips after 400K disturbance units (≈220K double-sided
@@ -54,5 +54,5 @@ func run(def scenario.DefenseKind) (int, *anvil.Detector) {
 	for _, f := range m.Mem.DRAM.Flips() {
 		fmt.Printf("  %v (t=%.1f ms)\n", f, m.Freq.Millis(f.Time))
 	}
-	return m.Mem.DRAM.FlipCount(), in.Detector
+	return in
 }

@@ -196,7 +196,7 @@ func init() {
 				{Name: "slow-detections", Value: float64(rows[1].Detections)},
 			}
 		}),
-		Reps: func(Config) int { return 2 },
+		Reps: func(Config) int { return len(section45Points()) },
 	})
 	scenario.Register(scenario.Experiment{
 		Name: "defenses",

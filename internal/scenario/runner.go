@@ -115,8 +115,8 @@ type ProgressEvent struct {
 	Total     int
 }
 
-// Options tunes a RunSweep / RunManyCtx sweep. The zero value reproduces the
-// classic runner exactly: no journal, no retries, no budget.
+// Options tunes a RunSweep sweep. The zero value runs every replicate once,
+// with no journal, no retries and no budget.
 type Options struct {
 	// Workers caps the worker pool; <= 0 means GOMAXPROCS. Parallelism never
 	// changes results or errors — only wall-clock time.
@@ -221,9 +221,8 @@ func (s SweepStatus) DroppedRange() string {
 }
 
 // ReplicateError is one replicate's failure, tagged with the replicate
-// index so a partial sweep remains attributable. It renders exactly like the
-// classic RunMany error ("scenario: replicate N: ...") and unwraps to the
-// underlying error.
+// index so a partial sweep remains attributable. It renders as
+// "scenario: replicate N: ..." and unwraps to the underlying error.
 type ReplicateError struct {
 	Rep int
 	Err error
@@ -621,30 +620,6 @@ func sleepBackoff(ctx context.Context, d time.Duration) bool {
 	case <-t.C:
 		return true
 	}
-}
-
-// RunManyCtx is RunSweep behind the classic ([]T, error) signature. Without
-// KeepGoing a failed sweep returns (nil, first failure); budget truncation —
-// which the signature cannot tag onto the results — comes back as a
-// *TruncatedError alongside the partial results.
-func RunManyCtx[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Context, rep int) (T, error)) ([]T, error) {
-	out, status, err := RunSweep(ctx, n, opts, fn)
-	if status.Truncated {
-		return out, &TruncatedError{Status: status, Err: err}
-	}
-	if err != nil && !opts.KeepGoing {
-		return nil, err
-	}
-	return out, err
-}
-
-// RunMany is RunManyCtx without cancellation, deadlines or keep-going: the
-// classic sweep entry point. All n replicates run even if one fails; the
-// first error in replicate order is returned, so the error too is
-// independent of scheduling.
-func RunMany[T any](n, workers int, fn func(rep int) (T, error)) ([]T, error) {
-	return RunManyCtx(context.Background(), n, Options{Workers: workers},
-		func(_ context.Context, rep int) (T, error) { return fn(rep) })
 }
 
 // RunReplicatesSweep runs a registry experiment's sweep under the experiment

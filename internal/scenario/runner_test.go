@@ -12,7 +12,7 @@ import (
 
 func TestRunManyPreservesReplicateOrder(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 8, 32} {
-		got, err := RunMany(16, workers, func(rep int) (int, error) {
+		got, _, err := RunSweep(context.Background(), 16, Options{Workers: workers}, func(_ context.Context, rep int) (int, error) {
 			return rep * rep, nil
 		})
 		if err != nil {
@@ -29,7 +29,7 @@ func TestRunManyPreservesReplicateOrder(t *testing.T) {
 }
 
 func TestRunManyZeroReplicates(t *testing.T) {
-	got, err := RunMany(0, 4, func(rep int) (string, error) {
+	got, _, err := RunSweep(context.Background(), 0, Options{Workers: 4}, func(_ context.Context, rep int) (string, error) {
 		t.Error("fn called for n=0")
 		return "", nil
 	})
@@ -43,7 +43,7 @@ func TestRunManyFirstErrorInReplicateOrder(t *testing.T) {
 	// error must be replicate 3's, and every replicate must still run.
 	for _, workers := range []int{1, 8} {
 		ran := make([]bool, 10)
-		_, err := RunMany(10, workers, func(rep int) (int, error) {
+		_, _, err := RunSweep(context.Background(), 10, Options{Workers: workers}, func(_ context.Context, rep int) (int, error) {
 			ran[rep] = true
 			if rep == 3 || rep == 7 {
 				return 0, fmt.Errorf("boom %d", rep)
@@ -63,7 +63,7 @@ func TestRunManyFirstErrorInReplicateOrder(t *testing.T) {
 
 func TestRunManyErrorUnwraps(t *testing.T) {
 	sentinel := errors.New("sentinel")
-	_, err := RunMany(2, 2, func(rep int) (int, error) {
+	_, _, err := RunSweep(context.Background(), 2, Options{Workers: 2}, func(_ context.Context, rep int) (int, error) {
 		if rep == 1 {
 			return 0, sentinel
 		}
@@ -93,7 +93,7 @@ func TestReplicateSeedIsPureAndDecorrelated(t *testing.T) {
 
 func TestRunManyCtxPanicNamesReplicate(t *testing.T) {
 	for _, workers := range []int{1, 8} {
-		_, err := RunManyCtx(context.Background(), 8, Options{Workers: workers},
+		_, _, err := RunSweep(context.Background(), 8, Options{Workers: workers},
 			func(_ context.Context, rep int) (int, error) {
 				if rep == 5 {
 					panic("kaboom")
@@ -120,7 +120,7 @@ func TestRunManyCtxCancellationReturnsPromptly(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		ctx, cancel := context.WithCancel(context.Background())
 		started := make(chan struct{}, 64)
-		_, err := RunManyCtx(ctx, 64, Options{Workers: workers},
+		_, _, err := RunSweep(ctx, 64, Options{Workers: workers},
 			func(ctx context.Context, rep int) (int, error) {
 				started <- struct{}{}
 				// The first replicate cancels the sweep; everyone else just
@@ -145,7 +145,7 @@ func TestRunManyCtxCancellationReturnsPromptly(t *testing.T) {
 
 func TestRunManyCtxKeepGoingPartialResults(t *testing.T) {
 	for _, workers := range []int{1, 8} {
-		out, err := RunManyCtx(context.Background(), 8, Options{Workers: workers, KeepGoing: true},
+		out, _, err := RunSweep(context.Background(), 8, Options{Workers: workers, KeepGoing: true},
 			func(_ context.Context, rep int) (int, error) {
 				switch rep {
 				case 3:
@@ -184,7 +184,7 @@ func TestRunManyCtxKeepGoingPartialResults(t *testing.T) {
 func TestRunManyCtxTimeoutAbandonsStuckReplicate(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		block := make(chan struct{})
-		out, err := RunManyCtx(context.Background(), 4,
+		out, _, err := RunSweep(context.Background(), 4,
 			Options{Workers: workers, Timeout: 20 * time.Millisecond, KeepGoing: true},
 			func(ctx context.Context, rep int) (int, error) {
 				if rep == 1 {
@@ -215,7 +215,7 @@ func TestRunManyCtxPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	_, err := RunManyCtx(ctx, 4, Options{Workers: 2},
+	_, _, err := RunSweep(ctx, 4, Options{Workers: 2},
 		func(_ context.Context, rep int) (int, error) { ran = true; return rep, nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
@@ -227,7 +227,7 @@ func TestRunManyCtxPreCancelledContext(t *testing.T) {
 
 func TestRunManyParallelismInvariantWithFailures(t *testing.T) {
 	run := func(workers int) ([]int, string) {
-		out, err := RunManyCtx(context.Background(), 16, Options{Workers: workers, KeepGoing: true},
+		out, _, err := RunSweep(context.Background(), 16, Options{Workers: workers, KeepGoing: true},
 			func(_ context.Context, rep int) (int, error) {
 				if rep%5 == 4 {
 					return 0, fmt.Errorf("boom %d", rep)

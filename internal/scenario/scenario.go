@@ -2,12 +2,12 @@
 // building blocks (machine, attack, workload, defense, anvil) and everything
 // that runs experiments on them (internal/experiments and every command and
 // example). A Spec names *what* a run looks like — machine mutations,
-// workloads, attack, defense, horizon, seed — and Build turns it into a
+// workloads, attack, defense, seed — and Build turns it into a
 // ready-to-run Instance; Build is the only caller of machine.New outside
 // tests, so no caller assembles machines by hand.
 //
 // The package also hosts the experiment registry (registry.go) and the
-// parallel seed-sharded runner (runner.go): RunMany fans replicates across a
+// parallel seed-sharded runner (runner.go): RunSweep fans replicates across a
 // worker pool with each replicate owning its own machine and derived seed,
 // and merges results in replicate order so output is bit-identical at any
 // parallelism.
@@ -148,8 +148,6 @@ type Spec struct {
 	// Defense selects a mitigation; empty means none. DoubleRefresh is
 	// equivalent to RefreshScale 2.
 	Defense DefenseKind
-	// Duration is the run horizon for Run; zero runs to completion.
-	Duration time.Duration
 	// Faults declares deterministic hardware degradations (see
 	// internal/fault). The zero value installs nothing, keeping fault-free
 	// runs byte-identical; a non-zero spec is realised as a Plan seeded from
@@ -345,24 +343,6 @@ func Build(s Spec) (*Instance, error) {
 		}
 		det.Start()
 		in.Detector = det
-	}
-	return in, nil
-}
-
-// Run builds the scenario and advances it over its Duration (or to
-// completion when Duration is zero), returning the finished instance.
-func Run(s Spec) (*Instance, error) {
-	in, err := Build(s)
-	if err != nil {
-		return nil, err
-	}
-	if s.Duration > 0 {
-		err = in.RunFor(s.Duration)
-	} else {
-		err = in.RunToCompletion()
-	}
-	if err != nil {
-		return nil, err
 	}
 	return in, nil
 }

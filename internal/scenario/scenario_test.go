@@ -85,15 +85,3 @@ func TestBuildSeedIsDeterministic(t *testing.T) {
 		t.Error("double-sided attack never flipped within 64ms")
 	}
 }
-
-func TestRunHonorsDuration(t *testing.T) {
-	d := 2 * time.Millisecond
-	in, err := Run(Spec{Workloads: []Workload{{Name: "sjeng"}}, Duration: d})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := in.Machine
-	if got := m.Freq.Duration(m.Cores[0].Now); got < d {
-		t.Errorf("ran %v, want >= %v", got, d)
-	}
-}

@@ -198,9 +198,9 @@ func TestBudgetWallClockTruncates(t *testing.T) {
 	}
 }
 
-func TestTruncatedErrorSurfacesThroughRunManyCtx(t *testing.T) {
-	opts := Options{Workers: 1, Budget: Budget{Replicates: 2}}
-	out, err := RunManyCtx(context.Background(), 5, opts, func(_ context.Context, rep int) (int, error) {
+func TestTruncatedErrorSurfacesThroughRunReplicates(t *testing.T) {
+	cfg := Config{Parallel: 1, Budget: Budget{Replicates: 2}}
+	out, err := RunReplicates(cfg, 5, func(rep int) (int, error) {
 		return rep, nil
 	})
 	var te *TruncatedError

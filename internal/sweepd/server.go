@@ -237,11 +237,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.queue = append(s.queue, job)
+	// Snapshot before unlocking: once the lock drops, a sweep worker may
+	// start the job, and the acknowledgement reports it queued.
+	st := job.Status()
 	s.cond.Signal()
 	s.mu.Unlock()
 
 	s.logf("job %s: %s submitted by %s (spec %s)", job.ID, spec.Experiment, caller, job.SpecHash)
-	writeJSON(w, http.StatusAccepted, job.Status())
+	writeJSON(w, http.StatusAccepted, st)
 }
 
 // handleJob is GET /v1/jobs/{id}: one job's status snapshot.
