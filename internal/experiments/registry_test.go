@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -25,5 +26,40 @@ func TestRegistryCoversEveryExperiment(t *testing.T) {
 	}
 	if _, ok := scenario.Find("table9"); ok {
 		t.Error("Find invented an experiment")
+	}
+}
+
+// TestRegistryRunsEveryExperimentByName exercises the acceptance criterion
+// that every registered experiment is runnable by name from go test. Short
+// mode keeps to the sub-second experiments; the full run covers all of them.
+func TestRegistryRunsEveryExperimentByName(t *testing.T) {
+	cheap := map[string]bool{"table1": true, "figure1": true, "section21": true, "section22": true}
+	for _, e := range scenario.Experiments() {
+		if testing.Short() && !cheap[e.Name] {
+			continue
+		}
+		t.Run(e.Name, func(t *testing.T) {
+			res, err := e.Run(Config{Quick: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out := res.Render(); out == "" {
+				t.Error("empty rendering")
+			}
+			raw, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(raw) == 0 || string(raw) == "null" {
+				t.Errorf("empty JSON artifact: %s", raw)
+			}
+			if m, ok := res.(scenario.Metricer); ok {
+				for _, met := range m.Metrics() {
+					if met.Name == "" {
+						t.Error("metric with empty name")
+					}
+				}
+			}
+		})
 	}
 }
