@@ -17,10 +17,11 @@ race:
 	$(GO) test -race -timeout 20m ./...
 
 # Ten seconds per fuzz target: enough to shake out regressions in the
-# mapper round-trip, cache-policy, cache-replay, request-ring and
+# mapper round-trip, DRAM-ref, cache-policy, cache-replay, request-ring and
 # lease-upload invariants without stalling CI.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMapperRoundTrip -fuzztime 10s ./internal/dram
+	$(GO) test -run '^$$' -fuzz FuzzRefMatchesAccess -fuzztime 10s ./internal/dram
 	$(GO) test -run '^$$' -fuzz FuzzPolicyInvariants -fuzztime 10s ./internal/cache
 	$(GO) test -run '^$$' -fuzz FuzzReplayMatchesAccess -fuzztime 10s ./internal/cache
 	$(GO) test -run '^$$' -fuzz FuzzPeriodicRingMatchesPerOp -fuzztime 10s ./internal/machine

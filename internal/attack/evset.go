@@ -137,10 +137,16 @@ func mapBuffer(p *machine.Proc, baseVA, bytes uint64, contiguous bool) (translat
 	pm := p.Pagemap()
 	as := p.AS
 	// Cache pagemap lookups per page: the real attack reads each pagemap
-	// entry once.
+	// entry once. The buffer scans translate every line of a page in turn,
+	// so a one-entry memo of the last page answers most of them before the
+	// map does. lastPage starts unaligned, so it never matches.
 	pageCache := make(map[uint64]uint64)
+	lastPage, lastBase := uint64(1), uint64(0)
 	return func(va uint64) (uint64, error) {
 		page := va &^ (vm.PageSize - 1)
+		if page == lastPage {
+			return lastBase + va - page, nil
+		}
 		base, ok := pageCache[page]
 		if !ok {
 			var err error
@@ -150,6 +156,7 @@ func mapBuffer(p *machine.Proc, baseVA, bytes uint64, contiguous bool) (translat
 			}
 			pageCache[page] = base
 		}
+		lastPage, lastBase = page, base
 		return base + va - page, nil
 	}, nil
 }

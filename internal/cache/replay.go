@@ -33,13 +33,14 @@ import (
 //   - Replay. A request that matches the next recorded op gets its outcome
 //     (latency, source, LLC-miss bit), while the DRAM read at now + LLC
 //     latency and any writeback at now still run live, once per access and
-//     in the recorded order, as does the PMU path in memsys. The counters
-//     move by the cycle's deltas each time the cycle completes. The real
-//     cache state stays frozen at the cycle's start.
+//     in the recorded order, as does the PMU path in memsys. Each completed
+//     pass over the cycle is counted. The real cache state stays frozen at
+//     the cycle's start.
 //   - Materialisation. Every other entry (Access, Flush, Contains, Level,
 //     LLC, Stats), and a request that leaves the recorded sequence, first
-//     settles the hierarchy: the cycle's executed prefix is re-run for real
-//     against no memory, which rebuilds the cache state and adds the
+//     settles the hierarchy: the counters take the cycle's deltas once for
+//     each completed pass, and the cycle's executed prefix is re-run for
+//     real against no memory, which rebuilds the cache state and adds the
 //     counter increments of the partial cycle.
 //
 // Only memsys.AccessRun reaches replay, with the requests of the batched
@@ -114,6 +115,11 @@ type replay struct {
 	cycle []replayOp // a suffix of recs
 	cur   int        // ops of cycle applied since the state's frozen start
 	delta []uint64   // what one pass over cycle adds to each counter
+	// passes counts the passes over cycle completed since the counters
+	// last took their deltas; materialise adds them, before anything can
+	// read a counter.
+	passes uint64
+	gen    uint64 // moves whenever a new cycle starts replaying
 
 	served uint64 // requests served by replay in completed passes and settles
 }
@@ -236,16 +242,60 @@ func (h *Hierarchy) apply(op *replayOp, now sim.Cycles) Result {
 		h.mem.Access(op.wbPA, true, now)
 		res.Writebacks = 1
 	}
-	r := &h.rp
-	if r.cur++; r.cur == len(r.cycle) {
-		r.cur = 0
-		for k, c := range r.ctr {
-			*c += r.delta[k]
-		}
-		r.served += uint64(len(r.cycle))
-	}
+	h.rp.advance(1)
 	return res
 }
+
+// advance moves the cycle position past n applied ops, completing a pass
+// when it reaches the cycle's end.
+func (r *replay) advance(n int) {
+	if r.cur += n; r.cur == len(r.cycle) {
+		r.cur = 0
+		r.passes++
+	}
+}
+
+// Replayed is the outcome recorded for one op of the cycle being replayed.
+type Replayed struct {
+	PA    uint64 // the request's line address
+	Write bool   // a store
+	Flush bool   // a CLFLUSH
+	// Latency is the hit or flush latency, or the LLC latency of a miss,
+	// whose DRAM read follows at the request's time plus Latency.
+	Latency   sim.Cycles
+	LLCMiss   bool
+	Writeback bool // the request wrote a line back to memory
+}
+
+// ReplayCursor reports, while h replays a cycle, the cycle's generation
+// (which moves whenever a new cycle starts replaying), its length in ops
+// and the position of the next op in it. ok is false when h is not
+// replaying.
+func (h *Hierarchy) ReplayCursor() (gen uint64, pos, n int, ok bool) {
+	r := &h.rp
+	return r.gen, r.cur, len(r.cycle), r.mode == rpReplaying
+}
+
+// CycleOp returns the outcome recorded at position i of the cycle h is
+// replaying.
+func (h *Hierarchy) CycleOp(i int) Replayed {
+	op := &h.rp.cycle[i]
+	return Replayed{
+		PA:        op.pa,
+		Write:     op.flags&opWrite != 0,
+		Flush:     op.flags&opFlush != 0,
+		Latency:   op.lat,
+		LLCMiss:   op.flags&opLLCMiss != 0,
+		Writeback: op.flags&opWriteback != 0,
+	}
+}
+
+// SkipReplayed stands for the next n requests, which the caller has matched
+// against the cycle's ops from the cursor on (without passing its end):
+// the hierarchy moves its cursor as AccessAt and FlushAt would, counting a
+// pass when the cycle completes. The ops' memory accesses are the caller's
+// to make.
+func (h *Hierarchy) SkipReplayed(n int) { h.rp.advance(n) }
 
 // settle makes the real cache state and counters current and closes any
 // recording or replay.
@@ -259,6 +309,13 @@ func (h *Hierarchy) settle() {
 // the cycle's executed prefix for real against no memory.
 func (h *Hierarchy) materialise() {
 	r := &h.rp
+	if r.passes > 0 {
+		for k, c := range r.ctr {
+			*c += r.delta[k] * r.passes
+		}
+		r.served += uint64(len(r.cycle)) * r.passes
+		r.passes = 0
+	}
 	if r.mode == rpReplaying && r.cur > 0 {
 		r.mode, r.mute, h.mem = rpIdle, true, hookMem{r}
 		for i := range r.cycle[:r.cur] {
@@ -323,6 +380,7 @@ func (h *Hierarchy) boundary() {
 				r.delta[k] = *c - then[k]
 			}
 			r.cycle, r.cur, r.mode, r.backoff = r.recs[r.marks[j]:], 0, rpReplaying, 0
+			r.gen++
 			return
 		}
 	}

@@ -43,7 +43,6 @@ func DefaultConfig(f sim.Freq) Config {
 // bankState is the per-bank dynamic state.
 type bankState struct {
 	openRow    int // -1 when precharged
-	lastActRow int // previously *activated* row (for the alternation bonus)
 	lastAccess sim.Cycles
 	busyUntil  sim.Cycles
 }
@@ -210,7 +209,6 @@ func New(cfg Config) (*Module, error) {
 	}
 	for i := range m.banks {
 		m.banks[i].openRow = -1
-		m.banks[i].lastActRow = -1
 	}
 	return m, nil
 }
@@ -428,22 +426,6 @@ func (m *Module) refreshStall(rank int, now sim.Cycles) sim.Cycles {
 	return 0
 }
 
-// NextRefreshSlot returns the next simulated time strictly derived from the
-// refresh schedule at which some rank begins a REF command (the start of a
-// refresh-stall window) at or after now; it is at most now+tREFI. The epoch
-// planner uses it to bound batched runs so a horizon never overshoots a
-// refresh boundary by more than one access.
-func (m *Module) NextRefreshSlot(now sim.Cycles) sim.Cycles {
-	next := now + m.trefi
-	for r := range m.refOffset {
-		phase := (now + m.trefi - m.refOffset[r]) % m.trefi
-		if t := now + m.trefi - phase; t < next {
-			next = t
-		}
-	}
-	return next
-}
-
 // refEpoch returns uint64(t)/tREFI through the one-entry epoch cache.
 func (m *Module) refEpoch(t sim.Cycles) uint64 {
 	if t < m.epochStart || t >= m.epochEnd {
@@ -480,13 +462,15 @@ func (m *Module) sameRefEpoch(a, b sim.Cycles) bool {
 // Access performs one read or write of the physical address at simulated
 // time now and returns its latency and classification.
 func (m *Module) Access(pa uint64, write bool, now sim.Cycles) AccessResult {
-	var c Coord
+	return m.AccessCoord(m.coord(pa), write, now)
+}
+
+// coord decodes pa through the devirtualized stock mapper when it is in use.
+func (m *Module) coord(pa uint64) Coord {
 	if m.linMap != nil {
-		c = m.linMap.Map(pa)
-	} else {
-		c = m.mapper.Map(pa)
+		return m.linMap.Map(pa)
 	}
-	return m.AccessCoord(c, write, now)
+	return m.mapper.Map(pa)
 }
 
 // AccessCoord is Access for a pre-decoded coordinate.
@@ -595,26 +579,10 @@ func (m *Module) RefreshRow(bank, row int, now sim.Cycles) {
 
 // activate performs the disturbance bookkeeping for an activation of c.Row.
 func (m *Module) activate(c Coord, now sim.Cycles) {
-	b := &m.banks[c.Bank]
-	b.openRow = c.Row
-	b.lastActRow = c.Row
-	m.stats.Activations++
-
-	// The activated row's own charge is restored. A page that was never
-	// disturbed holds no charge, so there is nothing to reset: resetting its
-	// all-zero record would only move lastReset, and simulated time is
-	// monotone, so every later refresh-sweep comparison decides the same way
-	// without it.
-	if v := m.disturbed[c.Bank].peek(c.Row); v != nil {
-		v.units = 0
-		v.lastReset = now
-		v.lastSide = 0
-		v.flipped = 0
-	}
-
-	// Disturb the neighbours.
-	m.disturb(c.Bank, c.Row-1, +1, 1, now)
-	m.disturb(c.Bank, c.Row+1, -1, 1, now)
+	// The row's own record is looked up before disturbing the neighbours
+	// allocates their pages, which may be its own.
+	self := m.disturbed[c.Bank].peek(c.Row)
+	m.activateRows(c, self, m.victimAt(c.Bank, c.Row-1), m.victimAt(c.Bank, c.Row+1), now)
 	if far := m.cfg.Disturb.FarCouplingRatio; far > 0 {
 		m.disturb(c.Bank, c.Row-2, +1, far, now)
 		m.disturb(c.Bank, c.Row+2, -1, far, now)
@@ -629,12 +597,46 @@ func (m *Module) activate(c Coord, now sim.Cycles) {
 	}
 }
 
+// activateRows opens c.Row, restores its charge and disturbs its immediate
+// neighbours, whose records below (row-1) and above (row+1) are nil outside
+// the bank. activate and ApplyReads share it.
+func (m *Module) activateRows(c Coord, self, below, above *victim, now sim.Cycles) {
+	m.banks[c.Bank].openRow = c.Row
+	m.stats.Activations++
+
+	// The activated row's own charge is restored. A page that was never
+	// disturbed holds no charge, so there is nothing to reset: resetting its
+	// all-zero record would only move lastReset, and simulated time is
+	// monotone, so every later refresh-sweep comparison decides the same way
+	// without it.
+	if self != nil {
+		self.units = 0
+		self.lastReset = now
+		self.lastSide = 0
+		self.flipped = 0
+	}
+	if below != nil {
+		m.deposit(below, c.Bank, c.Row-1, +1, 1, now)
+	}
+	if above != nil {
+		m.deposit(above, c.Bank, c.Row+1, -1, 1, now)
+	}
+}
+
 // disturb deposits units into victim row `row` of `bank` due to an
 // activation of the neighbour on the given side (+1: the aggressor is the
 // row above the victim; -1: below).
 func (m *Module) disturb(bank, row int, side int8, scale float64, now sim.Cycles) {
+	if v := m.victimAt(bank, row); v != nil {
+		m.deposit(v, bank, row, side, scale, now)
+	}
+}
+
+// victimAt returns (bank,row)'s victim record, allocating its page on the
+// row's first disturbance, or nil when row lies outside the bank.
+func (m *Module) victimAt(bank, row int) *victim {
 	if row < 0 || row >= m.cfg.Geometry.RowsPerBank {
-		return
+		return nil
 	}
 	bd := &m.disturbed[bank]
 	if bd.pages == nil {
@@ -646,7 +648,12 @@ func (m *Module) disturb(bank, row int, side int8, scale float64, now sim.Cycles
 		pg = new(victimPage)
 		bd.pages[p] = pg
 	}
-	v := &pg[uint(row)%victimPageRows]
+	return &pg[uint(row)%victimPageRows]
+}
+
+// deposit is disturb on (bank,row)'s record v: the lazy periodic-refresh
+// reset, then the units, then any flips the accumulator reaches.
+func (m *Module) deposit(v *victim, bank, row int, side int8, scale float64, now sim.Cycles) {
 	// Lazy periodic-refresh reset.
 	if r := m.lastScheduledRefresh(row, now); r > v.lastReset {
 		v.units = 0

@@ -10,13 +10,13 @@ import (
 // every operation: a schedule scan, a timer-heap check, a virtual Next()
 // call, and a full walk through System.Access. The batched core instead
 // plans an *epoch* — the span up to the next architectural event horizon,
-// min(next kernel timer, sibling core's clock, next DRAM refresh slot, run
-// deadline) — and lets the earliest core execute a pre-generated run of
-// operations to that horizon in a tight loop. Nothing observable can happen
-// inside an epoch (no timer is due, no other core is earlier, and the PMU
-// overflow budget is re-priced inside memsys.AccessRun), so the output is
-// byte-identical to per-op stepping; Config.BatchCap=1 forces the per-op
-// path for A/B bisection.
+// min(next kernel timer, sibling core's clock, run deadline) — and lets the
+// earliest core execute a pre-generated run of operations to that horizon
+// in a tight loop. Nothing observable can happen inside an epoch (no timer
+// is due, no other core is earlier, the PMU overflow budget is re-priced
+// inside memsys.AccessRun, and DRAM evaluates refresh from each access's
+// own time), so the output is byte-identical to per-op stepping;
+// Config.BatchCap=1 forces the per-op path for A/B bisection.
 
 // DefaultBatchCap is the view size requested from a BatchProgram when
 // Config.BatchCap is zero.
@@ -85,19 +85,13 @@ func (m *Machine) runCore(c *Core, until sim.Cycles) error {
 	if horizon < c.Now+minEpochSpan {
 		// The epoch is too short to amortise planning (typically a sibling
 		// core sharing the clock, sometimes an imminent timer): interleave
-		// through the per-op path, which re-evaluates the schedule op by op
-		// and also skips the refresh-slot computation. Per-op stepping is the
-		// reference semantics, so bailing here is always output-identical.
+		// through the per-op path, which re-evaluates the schedule op by op.
+		// Per-op stepping is the reference semantics, so bailing here is
+		// always output-identical.
 		return m.stepCore(c)
 	}
 	kern.fireDue(c.Now)
 	gen := kern.gen
-	if rs := m.Mem.DRAM.NextRefreshSlot(c.Now); rs < horizon {
-		horizon = rs
-	}
-	if horizon <= c.Now {
-		return m.stepCore(c)
-	}
 	// A sibling can only start inside this epoch through Spawn, which bumps
 	// the kernel generation and so ends it.
 	pp := c.pprog
@@ -105,12 +99,22 @@ func (m *Machine) runCore(c *Core, until sim.Cycles) error {
 		pp = nil
 	}
 	for c.Now < horizon && !c.Done && kern.gen == gen {
+		viewCap := m.batchCap
+		var committed uint64
+		var iter []Op
+		if pp != nil {
+			// Views of whole iterations keep a ring-served program at an
+			// iteration boundary from one view to the next, where the
+			// memory system can skip whole iterations.
+			if committed, iter = pp.Period(); len(iter) > 0 && len(iter) <= viewCap {
+				viewCap -= viewCap % len(iter)
+			}
+		}
 		m.current = c
-		ops := bp.NextRun(m.batchCap)
+		ops := bp.NextRun(viewCap)
 		m.current = nil
 		var n int
 		if pp != nil && len(ops) > 0 && ops[0].Kind != OpDone {
-			committed, iter := pp.Period()
 			if c.ringFor(iter) {
 				n = m.execRing(c, int(committed%uint64(len(iter))), len(ops), horizon, gen)
 			} else {
@@ -158,7 +162,7 @@ func (c *Core) ringFor(iter []Op) bool {
 	if c.ringAS == as && c.ringGen == as.Gen() {
 		return len(c.ring) > 0
 	}
-	c.ringAS, c.ringGen = as, as.Gen()
+	c.ringAS, c.ringGen, c.ringIter = as, as.Gen(), len(iter)
 	c.ring = c.ring[:0]
 	for j, op := range iter {
 		kind, ok := reqKind(op.Kind)
@@ -192,7 +196,7 @@ func (m *Machine) execRing(c *Core, start, n int, horizon sim.Cycles, gen uint64
 	done, s := 0, start
 	for done < n && c.Now < horizon && kern.gen == gen && as.Gen() == c.ringGen {
 		end := min(len(c.ring), s+n-done)
-		k := m.accessRun(c, c.ring[s:end], horizon)
+		k := m.accessRun(c, c.ring[s:end], c.ringIter, horizon)
 		m.ringServed += uint64(k)
 		done += k
 		if s += k; s == len(c.ring) {
@@ -249,7 +253,7 @@ func (m *Machine) execView(c *Core, ops []Op, horizon sim.Cycles, gen uint64) in
 		if len(reqs) == 0 {
 			return i
 		}
-		k := m.accessRun(c, reqs, horizon)
+		k := m.accessRun(c, reqs, 0, horizon)
 		i += k
 		if k < len(reqs) {
 			return i
@@ -259,11 +263,13 @@ func (m *Machine) execView(c *Core, ops []Op, horizon sim.Cycles, gen uint64) in
 }
 
 // accessRun executes reqs on c through memsys.AccessRun up to the horizon
-// and books what ran on c, returning how many requests completed.
-func (m *Machine) accessRun(c *Core, reqs []memsys.Req, horizon sim.Cycles) int {
+// and books what ran on c, returning how many requests completed. iter is
+// the iteration length when reqs is a window of c's ring, 0 otherwise.
+func (m *Machine) accessRun(c *Core, reqs []memsys.Req, iter int, horizon sim.Cycles) int {
 	m.current = c
-	rr := m.Mem.AccessRun(reqs, c.Proc.ID, c.ID, &c.Now, horizon, &m.Kernel.gen)
+	rr := m.Mem.AccessRun(reqs, iter, c.Proc.ID, c.ID, &c.Now, horizon, &m.Kernel.gen)
 	m.current = nil
+	m.itersSkipped += uint64(rr.Skipped)
 	c.Stats.Ops += uint64(rr.Executed)
 	c.Stats.Loads += rr.Loads
 	c.Stats.Stores += rr.Stores

@@ -2,6 +2,8 @@ package machine
 
 import (
 	"testing"
+
+	"repro/internal/vm"
 )
 
 // periodicLoop is loadLoop declared periodic, so the batched core tags its
@@ -16,10 +18,18 @@ func (p *periodicLoop) Period() (uint64, []Op) { return p.i, p.ring[:p.lines] }
 // epoch planner and batched inner loop: once the core's request scratch and
 // the memory system's lazy state are warm, advancing the machine through
 // many epochs must not allocate. With a periodic program that covers the
-// request ring and cache replay, and, when each run first settles the
-// hierarchy through Contains, the materialisation and the re-recording that
-// follow an interruption.
+// request ring, cache replay and the iteration skip (with DRAM reads and
+// activations, for the hammer loop), and, when each run first settles the
+// hierarchy through Contains, the materialisation, the re-recording and the
+// new summaries that follow an interruption.
 func TestBatchedEpochSteadyStateAllocs(t *testing.T) {
+	// Two lines of one bank in different rows, each flushed after its load.
+	hammer := func() *ringProg {
+		return &ringProg{pages: 33, iter: []Op{
+			{Kind: OpLoad, VA: ringBase}, {Kind: OpFlush, VA: ringBase},
+			{Kind: OpLoad, VA: ringBase + 32*vm.PageSize}, {Kind: OpFlush, VA: ringBase + 32*vm.PageSize},
+		}}
+	}
 	cases := []struct {
 		name      string
 		prog      BatchProgram
@@ -28,6 +38,8 @@ func TestBatchedEpochSteadyStateAllocs(t *testing.T) {
 		{"load-loop", &loadLoop{n: 1 << 40}, false},
 		{"periodic", &periodicLoop{loadLoop{n: 1 << 40, lines: 8}}, false},
 		{"periodic-interrupted", &periodicLoop{loadLoop{n: 1 << 40, lines: 8}}, true},
+		{"hammer", hammer(), false},
+		{"hammer-interrupted", hammer(), true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -55,8 +67,12 @@ func TestBatchedEpochSteadyStateAllocs(t *testing.T) {
 			if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
 				t.Errorf("steady-state batched Run allocates %.1f times per run, want 0", allocs)
 			}
-			if periodic := m.Cores[0].pprog != nil; periodic != (m.ringServed > 0) {
+			periodic := m.Cores[0].pprog != nil
+			if periodic != (m.ringServed > 0) {
 				t.Errorf("the ring served %d requests of a program that is periodic: %v", m.ringServed, periodic)
+			}
+			if periodic != (m.itersSkipped > 0) {
+				t.Errorf("the skip applied %d iterations of a program that is periodic: %v", m.itersSkipped, periodic)
 			}
 		})
 	}

@@ -256,9 +256,10 @@ type Core struct {
 	pprog PeriodicProgram
 	// ring is pprog's iteration as requests, translated in ringAS at its
 	// generation ringGen (see ringFor); Spawn and SpawnShared drop it.
-	ring    []memsys.Req
-	ringAS  *vm.AddressSpace
-	ringGen uint64
+	ring     []memsys.Req
+	ringAS   *vm.AddressSpace
+	ringGen  uint64
+	ringIter int // requests per iteration
 }
 
 // Config sets up a Machine.
@@ -303,8 +304,10 @@ type Machine struct {
 	current  *Core // core whose op is executing (for Charge)
 	spawnGen int   // bumped by Spawn/SpawnShared; invalidates Run's fast path
 	batchCap int   // resolved Config.BatchCap (<=1 means per-op stepping)
-	// ringServed counts the memory requests served from cores' rings.
-	ringServed uint64
+	// ringServed counts the memory requests served from cores' rings, and
+	// itersSkipped the iterations among them memsys.AccessRun skipped.
+	ringServed   uint64
+	itersSkipped uint64
 }
 
 // New builds a machine.

@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dram"
+	"repro/internal/fault"
 	"repro/internal/machine"
 	"repro/internal/scenario"
 	"repro/internal/workload"
@@ -67,6 +69,62 @@ func TestRingEngages(t *testing.T) {
 	for _, c := range off {
 		if _, served := ringShare(t, c.spec, time.Millisecond); served != 0 {
 			t.Errorf("%s: the ring served %d memory requests, want none", c.name, served)
+		}
+	}
+}
+
+// TestIterationSkipEngages pins where memsys.AccessRun applies whole
+// iterations of a ring-served program at once: at least 80% of the
+// iterations of each Table 1 attack, run to its first flip at seed 1, and
+// none where the skip must stand aside — at StepBatch 1, under a hardware
+// defense that watches or intercepts activations (PARA, TRR, ARMOR), with
+// injected refresh skips, with command-level DRAM timing, and on the 4-core
+// Table 3 heavy point.
+func TestIterationSkipEngages(t *testing.T) {
+	for _, k := range scenario.AttackKinds() {
+		in, err := scenario.Build(scenario.Spec{Cores: 1, Seed: 1, Attack: &scenario.Attack{Kind: k}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, flipped, err := in.RunUntilFlip(192 * time.Millisecond); err != nil || !flipped {
+			t.Fatalf("%s: RunUntilFlip = %v, %v; want a flip", k, flipped, err)
+		}
+		iters, skipped := in.Hammer.Iterations(), machine.IterationsSkipped(in.Machine)
+		t.Logf("%s: skipped %d of %d iterations (%.1f%%)", k, skipped, iters, 100*float64(skipped)/float64(iters))
+		if skipped*5 < iters*4 {
+			t.Errorf("%s: the skip applied %d of %d iterations, want at least 80%%", k, skipped, iters)
+		}
+	}
+	attack := &scenario.Attack{Kind: scenario.DoubleSidedFlush}
+	heavy := []scenario.Workload{}
+	for _, name := range workload.HeavyLoadNames() {
+		heavy = append(heavy, scenario.Workload{Name: name})
+	}
+	detailed := func(c *machine.Config) { c.Memory.DRAM.Detailed = dram.Detailed(c.Freq) }
+	off := []struct {
+		name string
+		spec scenario.Spec
+	}{
+		{"StepBatch=1", scenario.Spec{Cores: 1, Attack: attack, StepBatch: 1}},
+		{"para", scenario.Spec{Cores: 1, Attack: attack, Defense: scenario.PARA}},
+		{"trr", scenario.Spec{Cores: 1, Attack: attack, Defense: scenario.TRR}},
+		{"armor", scenario.Spec{Cores: 1, Attack: attack, Defense: scenario.ARMOR}},
+		{"refresh skips", scenario.Spec{Cores: 1, Attack: attack,
+			Faults: fault.Spec{DRAM: fault.DRAMSpec{RefreshSkipRate: 0.5}}}},
+		{"detailed DRAM timing", scenario.Spec{Cores: 1, Attack: attack, Mutate: detailed}},
+		{"table3 heavy", scenario.Spec{Cores: 4, Attack: &scenario.Attack{Kind: scenario.ClflushFree},
+			Defense: scenario.ANVILBaseline, Workloads: heavy}},
+	}
+	for _, c := range off {
+		in, err := scenario.Build(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := in.RunFor(2 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if n := machine.IterationsSkipped(in.Machine); n != 0 {
+			t.Errorf("%s: the skip applied %d iterations, want none", c.name, n)
 		}
 	}
 }

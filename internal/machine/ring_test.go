@@ -2,6 +2,7 @@ package machine
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -86,9 +87,25 @@ type counters struct {
 	Caches cache.HierarchyStats
 	DRAM   dram.Stats
 	PMU    []uint64
+	// Flips is every flip the module recorded, and Units the bits of the
+	// disturbance accumulators of every row within two of a row the
+	// program's iteration touches.
+	Flips []dram.BitFlip
+	Units []uint64
 }
 
-func readCounters(m *Machine) counters {
+// rows returns the DRAM coordinates of the lines p's iteration touches.
+func (p *ringProg) rows(m *Machine) []dram.Coord {
+	var rows []dram.Coord
+	for _, op := range p.iter {
+		if pa, err := p.proc.AS.Translate(op.VA); err == nil {
+			rows = append(rows, m.Mem.DRAM.Mapper().Map(pa))
+		}
+	}
+	return rows
+}
+
+func readCounters(m *Machine, p *ringProg) counters {
 	var c counters
 	for _, core := range m.Cores {
 		c.Cores = append(c.Cores, core.Stats)
@@ -102,6 +119,12 @@ func readCounters(m *Machine) counters {
 	c.DRAM = m.Mem.DRAM.Stats()
 	for e := pmu.EvLLCMiss; e <= pmu.EvLLCReference; e++ {
 		c.PMU = append(c.PMU, m.Mem.PMU.Read(e))
+	}
+	c.Flips = m.Mem.DRAM.Flips()
+	for _, r := range p.rows(m) {
+		for row := r.Row - 2; row <= r.Row+2; row++ {
+			c.Units = append(c.Units, math.Float64bits(m.Mem.DRAM.VictimUnits(r.Bank, row, m.Time())))
+		}
 	}
 	return c
 }
@@ -132,38 +155,57 @@ func ringTwins(t testing.TB, prog ringProg) (twins [2]*Machine, progs [2]*ringPr
 // TestRingFollowsRemap unmaps and re-maps a periodic program's buffer
 // between runs, so its frames change: the batched machine must rebuild its
 // translated ring, keep serving from it, and agree with per-op stepping on
-// every counter.
+// every counter. A hammer loop, whose iterations the memory system skips
+// whole, must keep being skipped after every remap, from summaries of the
+// new cycle.
 func TestRingFollowsRemap(t *testing.T) {
-	prog := ringProg{pages: 3, iter: []Op{
-		{Kind: OpLoad, VA: ringBase + 64}, {Kind: OpFlush, VA: ringBase + 64},
-		{Kind: OpStore, VA: ringBase + vm.PageSize + 128}, {Kind: OpLoad, VA: ringBase + 2*vm.PageSize},
-		{Kind: OpFlush, VA: ringBase + 2*vm.PageSize}, {Kind: OpFlush, VA: ringBase + vm.PageSize + 128},
-	}}
-	ms, ps := ringTwins(t, prog)
-	for run := 0; run < 4; run++ {
-		served, ops := RingServed(ms[0]), ms[0].Cores[0].Stats.Ops
-		var before [2]uint64
-		for i, m := range ms {
-			if run > 0 {
-				before[i], _ = ps[i].proc.AS.Translate(ringBase)
-				if err := ps[i].remap(); err != nil {
-					t.Fatal(err)
+	cases := []struct {
+		name  string
+		prog  ringProg
+		skips bool
+	}{
+		{"mixed", ringProg{pages: 3, iter: []Op{
+			{Kind: OpLoad, VA: ringBase + 64}, {Kind: OpFlush, VA: ringBase + 64},
+			{Kind: OpStore, VA: ringBase + vm.PageSize + 128}, {Kind: OpLoad, VA: ringBase + 2*vm.PageSize},
+			{Kind: OpFlush, VA: ringBase + 2*vm.PageSize}, {Kind: OpFlush, VA: ringBase + vm.PageSize + 128},
+		}}, false},
+		{"hammer", ringProg{pages: 2, iter: []Op{
+			{Kind: OpLoad, VA: ringBase}, {Kind: OpFlush, VA: ringBase},
+			{Kind: OpLoad, VA: ringBase + vm.PageSize}, {Kind: OpFlush, VA: ringBase + vm.PageSize},
+		}}, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ms, ps := ringTwins(t, c.prog)
+			for run := 0; run < 4; run++ {
+				served, skipped, ops := RingServed(ms[0]), ms[0].itersSkipped, ms[0].Cores[0].Stats.Ops
+				var before [2]uint64
+				for i, m := range ms {
+					if run > 0 {
+						before[i], _ = ps[i].proc.AS.Translate(ringBase)
+						if err := ps[i].remap(); err != nil {
+							t.Fatal(err)
+						}
+						if after, _ := ps[i].proc.AS.Translate(ringBase); after == before[i] {
+							t.Fatalf("run %d: remap kept frame %#x", run, after)
+						}
+					}
+					if err := m.RunFor(200_000); err != nil {
+						t.Fatal(err)
+					}
 				}
-				if after, _ := ps[i].proc.AS.Translate(ringBase); after == before[i] {
-					t.Fatalf("run %d: remap kept frame %#x", run, after)
+				batched, perOp := readCounters(ms[0], ps[0]), readCounters(ms[1], ps[1])
+				if !reflect.DeepEqual(batched, perOp) {
+					t.Fatalf("run %d: counters differ\nbatched: %+v\nper-op:  %+v", run, batched, perOp)
+				}
+				if RingServed(ms[0])-served < (batched.Cores[0].Ops-ops)/2 {
+					t.Errorf("run %d: the ring served %d requests, want most of the run's", run, RingServed(ms[0])-served)
+				}
+				if n := ms[0].itersSkipped - skipped; (n > 0) != c.skips {
+					t.Errorf("run %d: the skip applied %d iterations; want some: %v", run, n, c.skips)
 				}
 			}
-			if err := m.RunFor(200_000); err != nil {
-				t.Fatal(err)
-			}
-		}
-		batched, perOp := readCounters(ms[0]), readCounters(ms[1])
-		if !reflect.DeepEqual(batched, perOp) {
-			t.Fatalf("run %d: counters differ\nbatched: %+v\nper-op:  %+v", run, batched, perOp)
-		}
-		if RingServed(ms[0])-served < (batched.Cores[0].Ops-ops)/2 {
-			t.Errorf("run %d: the ring served %d requests, want most of the run's", run, RingServed(ms[0])-served)
-		}
+		})
 	}
 }
 
@@ -175,7 +217,7 @@ func TestRingFaultMatchesPerOp(t *testing.T) {
 		{Kind: OpLoad, VA: ringBase}, {Kind: OpStore, VA: ringBase + 64},
 		{Kind: OpLoad, VA: ringBase + 5*vm.PageSize},
 	}}
-	ms, _ := ringTwins(t, prog)
+	ms, ps := ringTwins(t, prog)
 	var errs [2]error
 	for i, m := range ms {
 		errs[i] = m.RunFor(1 << 20)
@@ -186,7 +228,7 @@ func TestRingFaultMatchesPerOp(t *testing.T) {
 	if errs[0].Error() != errs[1].Error() {
 		t.Errorf("batched error %q, per-op error %q", errs[0], errs[1])
 	}
-	if batched, perOp := readCounters(ms[0]), readCounters(ms[1]); !reflect.DeepEqual(batched, perOp) {
+	if batched, perOp := readCounters(ms[0], ps[0]), readCounters(ms[1], ps[1]); !reflect.DeepEqual(batched, perOp) {
 		t.Errorf("counters differ\nbatched: %+v\nper-op:  %+v", batched, perOp)
 	}
 	if n := RingServed(ms[0]); n != 0 {
@@ -196,14 +238,23 @@ func TestRingFaultMatchesPerOp(t *testing.T) {
 
 // FuzzPeriodicRingMatchesPerOp draws random periodic programs — 1–48
 // loads, stores and flushes over up to four pages — with random budgets
-// and run lengths, remaps between runs, and a PMU overflow handler that
-// charges the core and arms a timer, as the detector does. The batched
-// machine, which serves the program from its translated ring, and a
-// BatchCap 1 twin must agree on every counter and on the clock.
+// and run lengths, remaps between runs, a PMU overflow handler that
+// charges the core and arms a timer, as the detector does, PEBS samplers
+// whose handler charges the core too, and low flip thresholds planted
+// around the program's rows, so flips land inside skipped iterations. The
+// batched machine, which serves the program from its translated ring and
+// skips whole iterations, and a BatchCap 1 twin must agree on every
+// counter, on the clock, on every flip and sample, and bit for bit on the
+// disturbance accumulators around the program's rows.
 func FuzzPeriodicRingMatchesPerOp(f *testing.F) {
-	f.Add([]byte{0, 3, 0, 9, 20, 3, 0x12, 0x34})
-	f.Add([]byte{3, 47, 1, 40, 200, 3, 0xbe, 0xef})
-	f.Add([]byte{1, 11, 0, 255, 0, 2, 0, 7})
+	f.Add([]byte{0, 3, 0, 9, 20, 3, 0x12, 0x34, 0, 0, 0})
+	f.Add([]byte{3, 47, 1, 40, 200, 3, 0xbe, 0xef, 1, 90, 7})
+	f.Add([]byte{1, 11, 0, 255, 0, 2, 0, 7, 3, 30, 200})
+	// Hammer-like loops over one line per page: their skipped iterations
+	// miss the LLC.
+	f.Add([]byte{0, 3, 0, 254, 0, 2, 0, 3, 0, 0, 30, 0})
+	f.Add([]byte{1, 7, 0, 254, 0, 2, 0, 3, 0, 0, 30, 1})
+	f.Add([]byte{2, 3, 0, 254, 0, 2, 0, 6, 0, 0, 30, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := &byteSource{b: data}
 		pages := 1 + uint64(s.next()%4)
@@ -216,8 +267,12 @@ func FuzzPeriodicRingMatchesPerOp(f *testing.F) {
 		charge := sim.Cycles(s.next())
 		runs := 1 + s.next()%4
 		rng := sim.NewRand(uint64(s.next())<<8 | uint64(s.next()))
+		samplers := s.next() % 4 // bit 0 arms the load sampler, bit 1 the store sampler
+		interval := sim.Cycles(1+s.next()) * 400
+		weak := float64(1 + s.next()*8)
+		lines := 1 + uint64(s.next()%64) // per page; few lines make flushed lines come back
 		for len(prog.iter) < n {
-			va := ringBase + rng.Uint64n(pages)*vm.PageSize + rng.Uint64n(64)*64
+			va := ringBase + rng.Uint64n(pages)*vm.PageSize + rng.Uint64n(lines)*64
 			prog.iter = append(prog.iter, Op{Kind: []OpKind{OpLoad, OpLoad, OpStore, OpFlush}[rng.Intn(4)], VA: va})
 		}
 		ms, ps := ringTwins(t, prog)
@@ -229,24 +284,46 @@ func FuzzPeriodicRingMatchesPerOp(f *testing.F) {
 				m.Mem.PMU.ArmOverflow(pmu.EvLLCMiss, every, arm)
 			}
 			m.Mem.PMU.ArmOverflow(pmu.EvLLCMiss, every, arm)
+			cfg := pmu.SamplerConfig{Enabled: true, LatencyThreshold: 100, Interval: interval}
+			if samplers&1 != 0 {
+				m.Mem.PMU.ConfigureLoadSampler(cfg, 0)
+			}
+			if samplers&2 != 0 {
+				m.Mem.PMU.ConfigureStoreSampler(cfg, 0)
+			}
+			m.Mem.PMU.OnSample(func(pmu.Sample) { m.ChargeCurrent(charge + 1) })
 		}
 		for run := 0; run < runs; run++ {
 			d := sim.Cycles(1 + rng.Uint64n(400_000))
 			remap := run > 0 && rng.Intn(2) == 0
 			var errs [2]error
+			var samples [2][]pmu.Sample
 			for i, m := range ms {
 				if remap {
 					if err := ps[i].remap(); err != nil {
 						t.Fatal(err)
 					}
 				}
+				for _, r := range ps[i].rows(m) {
+					for _, row := range []int{r.Row - 1, r.Row + 1} {
+						if row >= 0 && row < m.Mem.DRAM.Config().Geometry.RowsPerBank {
+							if err := m.Mem.DRAM.PlantWeakRow(r.Bank, row, weak); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+				}
 				errs[i] = m.RunFor(d)
+				samples[i] = m.Mem.PMU.Samples()
 			}
 			if (errs[0] == nil) != (errs[1] == nil) || errs[0] != nil && errs[0].Error() != errs[1].Error() {
 				t.Fatalf("run %d: batched Run = %v, per-op Run = %v", run, errs[0], errs[1])
 			}
-			if batched, perOp := readCounters(ms[0]), readCounters(ms[1]); !reflect.DeepEqual(batched, perOp) {
+			if batched, perOp := readCounters(ms[0], ps[0]), readCounters(ms[1], ps[1]); !reflect.DeepEqual(batched, perOp) {
 				t.Fatalf("run %d: counters differ\nbatched: %+v\nper-op:  %+v", run, batched, perOp)
+			}
+			if !reflect.DeepEqual(samples[0], samples[1]) {
+				t.Fatalf("run %d: samples differ\nbatched: %+v\nper-op:  %+v", run, samples[0], samples[1])
 			}
 		}
 	})

@@ -36,6 +36,8 @@ type System struct {
 	DRAM   *dram.Module
 	Caches *cache.Hierarchy
 	PMU    *pmu.PMU
+
+	skip skipper // AccessRun's iteration summaries (skip.go)
 }
 
 // dramBackend adapts the DRAM module to the cache.Memory interface.
@@ -103,7 +105,8 @@ type Req struct {
 	// Pos is the request's 1-based position in the iteration of a periodic
 	// program running alone on the machine, 0 for any other request. Tagged
 	// requests may be served by the cache hierarchy's steady-state replay
-	// (cache.Hierarchy.AccessAt), with identical results.
+	// (cache.Hierarchy.AccessAt), or skipped whole iterations at a time
+	// (skip.go), with identical results.
 	Pos uint32
 }
 
@@ -111,9 +114,12 @@ type Req struct {
 type RunResult struct {
 	// Executed counts requests completed (the prefix reqs[:Executed]).
 	Executed int
-	Loads    uint64
-	Stores   uint64
-	Flushes  uint64
+	// Skipped counts the whole iterations among them that the iteration
+	// skip applied (skip.go).
+	Skipped int
+	Loads   uint64
+	Stores  uint64
+	Flushes uint64
 	// MemCycles is the summed load/store latency; flush latency is excluded,
 	// matching the per-op accounting in the machine.
 	MemCycles sim.Cycles
@@ -147,15 +153,22 @@ type RunResult struct {
 // Requests tagged with their position in a periodic program's iteration
 // (Req.Pos) go through the hierarchy's AccessAt/FlushAt, which may replay a
 // repeating cache state; DRAM and the PMU still see every access live.
-func (s *System) AccessRun(reqs []Req, task, core int, now *sim.Cycles, stopAt sim.Cycles, kgen *uint64) RunResult {
+// When reqs is a window of the program's request ring, iter is the length
+// of its iteration, and a whole iteration from its first request on may be
+// applied at once (skip.go); iter is 0 for any other run.
+func (s *System) AccessRun(reqs []Req, iter int, task, core int, now *sim.Cycles, stopAt sim.Cycles, kgen *uint64) RunResult {
 	var r RunResult
 	p := s.PMU
 	caches := s.Caches
 	gen0 := *kgen
 	pgen := p.ConfigGen()
 	bound := p.AccessesUntilOverflow()
-	for i := range reqs {
+	for i := 0; i < len(reqs); i++ {
 		req := &reqs[i]
+		if req.Pos == 1 && iter > 0 && iter <= len(reqs)-i && s.skipIter(reqs[i:i+iter], now, stopAt, &bound, &r) {
+			i += iter - 1
+			continue
+		}
 		if req.Kind == ReqFlush {
 			var lat sim.Cycles
 			if req.Pos == 0 {

@@ -395,6 +395,26 @@ func (p *PMU) CountAccess(write, llcMiss bool) {
 	}
 }
 
+// CountRun is CountAccess for a run of accesses at once: loads and stores,
+// of which missLoads and missStores missed the LLC. Like CountAccess it
+// makes no overflow check, so the caller's AccessesUntilOverflow budget
+// must cover the run, and the run must take no sample (SamplesNone).
+func (p *PMU) CountRun(loads, stores, missLoads, missStores uint64) {
+	p.counts[EvLoads] += loads
+	p.counts[EvStores] += stores
+	p.counts[EvLLCReference] += loads + stores
+	p.counts[EvLLCMiss] += missLoads + missStores
+	p.counts[EvLLCMissLoads] += missLoads
+}
+
+// SamplesNone reports whether no PEBS sampler can take a sample of an
+// access made at or before t: of a load when loads is set, of a store when
+// stores is set. Like WantSample it changes nothing.
+func (p *PMU) SamplesNone(t sim.Cycles, loads, stores bool) bool {
+	return (!loads || !p.loads.cfg.Enabled || t < p.loads.next) &&
+		(!stores || !p.stores.cfg.Enabled || t < p.stores.next)
+}
+
 // WantSample is an inlineable pre-filter for the PEBS tail: it restates
 // exactly the conditions under which sample() would reject the access without
 // mutating any state (sampler disabled, below the latency threshold, or
