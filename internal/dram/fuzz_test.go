@@ -141,7 +141,7 @@ func FuzzRefMatchesAccess(f *testing.F) {
 			if op%3 == 0 {
 				// Other traffic, possibly a write slightly in the past, as a
 				// writeback would be.
-				c, write, at := coord(), op&8 != 0, now-sim.Cycles(op>>4)
+				c, write, at := coord(), op&8 != 0, now-min(now, sim.Cycles(op>>4))
 				if a, b := ms[0].AccessCoord(c, write, at), ms[1].AccessCoord(c, write, at); a != b {
 					t.Fatalf("step %d: AccessCoord differs: %+v, %+v", step, a, b)
 				}

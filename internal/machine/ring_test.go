@@ -247,14 +247,16 @@ func TestRingFaultMatchesPerOp(t *testing.T) {
 // counter, on the clock, on every flip and sample, and bit for bit on the
 // disturbance accumulators around the program's rows.
 func FuzzPeriodicRingMatchesPerOp(f *testing.F) {
+	// Programs over up to 64 lines per page: a missing line count keeps
+	// all 64.
 	f.Add([]byte{0, 3, 0, 9, 20, 3, 0x12, 0x34, 0, 0, 0})
-	f.Add([]byte{3, 47, 1, 40, 200, 3, 0xbe, 0xef, 1, 90, 7})
+	f.Add([]byte{3, 47, 1, 40, 200, 3, 0xbe, 0xef, 0, 2, 7, 60})
 	f.Add([]byte{1, 11, 0, 255, 0, 2, 0, 7, 3, 30, 200})
-	// Hammer-like loops over one line per page: their skipped iterations
-	// miss the LLC.
-	f.Add([]byte{0, 3, 0, 254, 0, 2, 0, 3, 0, 0, 30, 0})
-	f.Add([]byte{1, 7, 0, 254, 0, 2, 0, 3, 0, 0, 30, 1})
-	f.Add([]byte{2, 3, 0, 254, 0, 2, 0, 6, 0, 0, 30, 2})
+	// Hammer-like loops over one to three lines per page: their skipped
+	// iterations miss the LLC.
+	f.Add([]byte{0, 3, 0, 254, 0, 2, 0, 3, 0, 0, 30, 63})
+	f.Add([]byte{1, 7, 0, 254, 0, 2, 0, 3, 0, 0, 30, 62})
+	f.Add([]byte{2, 3, 0, 254, 0, 2, 0, 6, 0, 0, 30, 61})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := &byteSource{b: data}
 		pages := 1 + uint64(s.next()%4)
@@ -270,7 +272,7 @@ func FuzzPeriodicRingMatchesPerOp(f *testing.F) {
 		samplers := s.next() % 4 // bit 0 arms the load sampler, bit 1 the store sampler
 		interval := sim.Cycles(1+s.next()) * 400
 		weak := float64(1 + s.next()*8)
-		lines := 1 + uint64(s.next()%64) // per page; few lines make flushed lines come back
+		lines := 64 - uint64(s.next()%64) // per page; few lines make flushed lines come back
 		for len(prog.iter) < n {
 			va := ringBase + rng.Uint64n(pages)*vm.PageSize + rng.Uint64n(lines)*64
 			prog.iter = append(prog.iter, Op{Kind: []OpKind{OpLoad, OpLoad, OpStore, OpFlush}[rng.Intn(4)], VA: va})
