@@ -7,6 +7,7 @@ import (
 	"repro/internal/dram"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/vm"
 )
 
 // Target designates the victim row the attack tries to flip. The aggressor
@@ -153,14 +154,12 @@ func (h *hammerCore) Advance(n int) { h.execOps += uint64(n) }
 func (h *hammerCore) Period() (uint64, []machine.Op) { return h.execOps, h.ops }
 
 // seal pre-unrolls the iteration into a ring of whole iterations so NextRun
-// serves long contiguous views regardless of the iteration length. Called at
-// the end of every attack Init.
+// serves long contiguous views regardless of the iteration length: at least
+// the machine.RingIterations a ring-served view spans, and at least
+// machine.DefaultBatchCap operations. Called at the end of every attack Init.
 func (h *hammerCore) seal() {
 	iterLen := len(h.ops)
-	copies := (machine.DefaultBatchCap + iterLen - 1) / iterLen
-	if copies < 2 {
-		copies = 2
-	}
+	copies := max(machine.RingIterations, (machine.DefaultBatchCap+iterLen-1)/iterLen)
 	h.unrolled = make([]machine.Op, 0, copies*iterLen)
 	for i := 0; i < copies; i++ {
 		h.unrolled = append(h.unrolled, h.ops...)
@@ -361,17 +360,40 @@ func (a *ClflushFree) Init(p *machine.Proc) error {
 // accepts any column — needed when scattered allocation gives the attacker
 // only part of a row).
 func findVAInRowCol(mapper dram.Mapper, xlate translator, bufVA, bufLen uint64, bank, row, col int) (uint64, error) {
+	va, ok, err := scanRow(mapper, xlate, bufVA, bufLen, bank, row, func(_ uint64, c dram.Coord) bool {
+		return col < 0 || c.Col == col
+	})
+	if err != nil || ok {
+		return va, err
+	}
+	return 0, fmt.Errorf("attack: no address at bank %d row %d col %d within the buffer", bank, row, col)
+}
+
+// scanRow returns the buffer's first line, in address order, whose physical
+// address decodes to (bank,row) and passes match. When the mapper keeps
+// every page in one bank and row (dram.UniformBlocks), it decodes one line
+// per page and passes over a page of another bank or row whole: none of its
+// lines could match, so the first match is the same.
+func scanRow(mapper dram.Mapper, xlate translator, bufVA, bufLen uint64, bank, row int,
+	match func(pa uint64, c dram.Coord) bool) (uint64, bool, error) {
+	uniform := dram.UniformBlocks(mapper, vm.PageSize)
 	for va := bufVA; va+cache.LineSize <= bufVA+bufLen; va += cache.LineSize {
 		pa, err := xlate(va)
 		if err != nil {
-			return 0, err
+			return 0, false, err
 		}
 		c := mapper.Map(pa)
-		if c.Bank == bank && c.Row == row && (col < 0 || c.Col == col) {
-			return va, nil
+		if c.Bank == bank && c.Row == row {
+			if match(pa, c) {
+				return va, true, nil
+			}
+		} else if uniform {
+			// On to the first line of the next page.
+			end := va | (vm.PageSize - 1)
+			va += (end - va) / cache.LineSize * cache.LineSize
 		}
 	}
-	return 0, fmt.Errorf("attack: no address at bank %d row %d col %d within the buffer", bank, row, col)
+	return 0, false, nil
 }
 
 var (
@@ -385,15 +407,11 @@ var (
 // patterns.
 func findVAInRowOtherSet(mapper dram.Mapper, xlate translator, spec *CacheSpec,
 	bufVA, bufLen uint64, bank, row int, avoidPA uint64) (uint64, error) {
-	for va := bufVA; va+cache.LineSize <= bufVA+bufLen; va += cache.LineSize {
-		pa, err := xlate(va)
-		if err != nil {
-			return 0, err
-		}
-		c := mapper.Map(pa)
-		if c.Bank == bank && c.Row == row && !spec.Congruent(pa, avoidPA) {
-			return va, nil
-		}
+	va, ok, err := scanRow(mapper, xlate, bufVA, bufLen, bank, row, func(pa uint64, _ dram.Coord) bool {
+		return !spec.Congruent(pa, avoidPA)
+	})
+	if err != nil || ok {
+		return va, err
 	}
 	return 0, fmt.Errorf("attack: no non-congruent address in bank %d row %d within the buffer", bank, row)
 }

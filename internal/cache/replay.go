@@ -247,11 +247,11 @@ func (h *Hierarchy) apply(op *replayOp, now sim.Cycles) Result {
 }
 
 // advance moves the cycle position past n applied ops, completing a pass
-// when it reaches the cycle's end.
+// each time it reaches the cycle's end.
 func (r *replay) advance(n int) {
-	if r.cur += n; r.cur == len(r.cycle) {
-		r.cur = 0
-		r.passes++
+	if r.cur += n; r.cur >= len(r.cycle) {
+		r.passes += uint64(r.cur / len(r.cycle))
+		r.cur %= len(r.cycle)
 	}
 }
 
@@ -291,10 +291,10 @@ func (h *Hierarchy) CycleOp(i int) Replayed {
 }
 
 // SkipReplayed stands for the next n requests, which the caller has matched
-// against the cycle's ops from the cursor on (without passing its end):
-// the hierarchy moves its cursor as AccessAt and FlushAt would, counting a
-// pass when the cycle completes. The ops' memory accesses are the caller's
-// to make.
+// against the cycle's ops from the cursor on, wrapping at its end as often
+// as they do: the hierarchy moves its cursor as AccessAt and FlushAt would,
+// counting a pass each time the cycle completes. The ops' memory accesses
+// are the caller's to make.
 func (h *Hierarchy) SkipReplayed(n int) { h.rp.advance(n) }
 
 // settle makes the real cache state and counters current and closes any

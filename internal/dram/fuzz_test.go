@@ -30,32 +30,39 @@ func FuzzMapperRoundTrip(f *testing.F) {
 	})
 }
 
-// refState is everything a read can change in a module: its counters, bank
-// state, flips (the count, and those after the first from), refresh memos,
-// and the victim records of the given rows of the given banks and of their
-// neighbours (present reports each record's page).
+// refState is everything a read can change in a module: its counters and
+// fault counters, bank state, flips and transient flips (the counts, and
+// those after the first from), refresh memos, and the victim records of the
+// given rows of the given banks and of the rows within two of them (present
+// reports each record's page).
 type refState struct {
-	stats   Stats
-	banks   []bankState
-	nflips  int
-	flips   []BitFlip
-	memos   []sim.Cycles
-	victims []victim
-	present []bool
+	stats      Stats
+	faults     FaultStats
+	banks      []bankState
+	nflips     int
+	flips      []BitFlip
+	ntransient int
+	transient  []BitFlip
+	memos      []sim.Cycles
+	victims    []victim
+	present    []bool
 }
 
-func readRefState(m *Module, banks, rows []int, from int) refState {
+func readRefState(m *Module, banks, rows []int, from, fromTransient int) refState {
 	st := refState{
-		stats:  m.stats,
-		banks:  slices.Clone(m.banks),
-		nflips: len(m.flips),
-		flips:  m.flips[min(from, len(m.flips)):],
-		memos:  []sim.Cycles{sim.Cycles(m.epochK), m.epochStart, m.epochEnd},
+		stats:      m.stats,
+		faults:     m.FaultStats(),
+		banks:      slices.Clone(m.banks),
+		nflips:     len(m.flips),
+		flips:      m.flips[min(from, len(m.flips)):],
+		ntransient: len(m.transient),
+		transient:  m.transient[min(fromTransient, len(m.transient)):],
+		memos:      []sim.Cycles{sim.Cycles(m.epochK), m.epochStart, m.epochEnd},
 	}
 	st.memos = append(append(st.memos, m.stallFreeFrom...), m.stallFreeTo...)
 	for _, bank := range banks {
 		for _, r := range rows {
-			for row := r - 1; row <= r+1; row++ {
+			for row := r - 2; row <= r+2; row++ {
 				var v victim
 				p := m.disturbed[bank].peek(row)
 				if p != nil {
@@ -70,20 +77,64 @@ func readRefState(m *Module, banks, rows []int, from int) refState {
 }
 
 func (a refState) equal(b refState) bool {
-	return a.stats == b.stats && a.nflips == b.nflips && slices.Equal(a.memos, b.memos) && slices.Equal(a.banks, b.banks) &&
-		slices.Equal(a.flips, b.flips) && slices.Equal(a.victims, b.victims) && slices.Equal(a.present, b.present)
+	return a.stats == b.stats && a.faults == b.faults && a.nflips == b.nflips && a.ntransient == b.ntransient &&
+		slices.Equal(a.memos, b.memos) && slices.Equal(a.banks, b.banks) &&
+		slices.Equal(a.flips, b.flips) && slices.Equal(a.transient, b.transient) &&
+		slices.Equal(a.victims, b.victims) && slices.Equal(a.present, b.present)
 }
 
-// FuzzRefMatchesAccess drives twin modules with the same accesses: random
-// banks in both ranks, rows at both edges of a bank, times stepping across
-// refresh slots, refresh-stall windows, epoch ends and the rows' refresh
-// sweeps, and rows planted weak enough to flip. The reference twin serves
-// every access through AccessCoord. The other serves runs of reads through
-// refs, resolved once per line and kept: GuardReads must change nothing,
-// and when it accepts a run, ApplyReads must leave the module (refState:
-// stats, banks, victim records, flips, memos) exactly as the reference's
-// AccessCoord calls do, with the latencies GuardReads decided. A refused
-// run goes through AccessCoord on both.
+// refModuleKinds are the modules FuzzRefMatchesAccess draws, each built
+// identically for both twins: plain; with an activation hook that
+// refreshes a neighbour at random, as PARA does; with an interceptor that
+// absorbs some activations, as ARMOR does; with far coupling; and with
+// injected refresh skips and transient ECC errors.
+var refModuleKinds = []func(t *testing.T, cfg Config) *Module{
+	func(t *testing.T, cfg Config) *Module { return mustModule(t, cfg) },
+	func(t *testing.T, cfg Config) *Module {
+		m := mustModule(t, cfg)
+		rng := sim.NewRand(7)
+		m.OnActivate(func(c Coord, now sim.Cycles) {
+			if rng.Intn(4) == 0 {
+				m.RefreshRow(c.Bank, c.Row+1-2*rng.Intn(2), now)
+			}
+		})
+		return m
+	},
+	func(t *testing.T, cfg Config) *Module {
+		m := mustModule(t, cfg)
+		n := 0
+		m.SetInterceptor(func(c Coord, now sim.Cycles) bool {
+			n++
+			return (n+c.Row)%3 == 0
+		})
+		return m
+	},
+	func(t *testing.T, cfg Config) *Module {
+		cfg.Disturb.FarCouplingRatio = 0.5
+		return mustModule(t, cfg)
+	},
+	func(t *testing.T, cfg Config) *Module {
+		m := mustModule(t, cfg)
+		fc := FaultConfig{RefreshSkipRate: 0.3, ECCCorrectableRate: 0.05, ECCUncorrectableRate: 0.02}
+		if err := m.InjectFaults(fc, sim.NewRand(11)); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	},
+}
+
+// FuzzRefMatchesAccess drives twin modules, drawn from refModuleKinds, with
+// the same accesses: random banks in both ranks, rows at both edges of a
+// bank, times stepping across refresh slots, refresh-stall windows, epoch
+// ends and the rows' refresh sweeps, and rows planted weak enough to flip.
+// The reference twin serves every access through AccessCoord. The other
+// reads runs of one to four lines, repeated 1 to 64 times, through
+// ReadRefs, with refs resolved once per line and kept: resolving a ref
+// must change nothing, and ReadRefs must leave the module (refState:
+// stats, banks, victim records bit for bit, flips, transient flips, memos)
+// exactly as the reference's AccessCoord calls do, with the same summed and
+// last latencies, whether it reads live or repeats a steady run. A run
+// whose refs do not resolve goes through AccessCoord on both.
 func FuzzRefMatchesAccess(f *testing.F) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		rng := sim.NewRand(seed)
@@ -91,6 +142,16 @@ func FuzzRefMatchesAccess(f *testing.F) {
 		for i := range b {
 			b[i] = byte(rng.Uint64())
 		}
+		f.Add(b)
+	}
+	// One input of each module kind.
+	for kind := range refModuleKinds {
+		rng := sim.NewRand(uint64(100 + kind))
+		b := make([]byte, 2048)
+		for i := range b {
+			b[i] = byte(rng.Uint64())
+		}
+		b[0] = byte(kind)
 		f.Add(b)
 	}
 	cfg := testConfig()
@@ -109,9 +170,10 @@ func FuzzRefMatchesAccess(f *testing.F) {
 			data = data[1:]
 			return int(b)
 		}
+		build := refModuleKinds[next()%len(refModuleKinds)]
 		var ms [2]*Module // the reference, and the twin reading through refs
 		for i := range ms {
-			ms[i] = mustModule(t, cfg)
+			ms[i] = build(t, cfg)
 			for _, bank := range banks {
 				for _, row := range rows {
 					if err := ms[i].PlantWeakRow(bank, row, float64(2+(bank+row)%5*3)); err != nil {
@@ -124,10 +186,14 @@ func FuzzRefMatchesAccess(f *testing.F) {
 			b := next()
 			return Coord{Bank: banks[b%len(banks)], Row: rows[b/len(banks)%len(rows)], Col: next() % 8 * 64}
 		}
+		state := func(i, from, fromTransient int) refState {
+			return readRefState(ms[i], banks, rows, from, fromTransient)
+		}
 		refs := map[Coord]Ref{}
 		half := ms[0].trefi / 2 // every slot of two staggered ranks
 		var now sim.Cycles
-		accepted, checked := 0, 0 // checked: flips already compared
+		runs, steady := 0, 0              // runs through refs, and reads the steady repeat applied
+		checked, checkedTransient := 0, 0 // flips already compared
 		for step := 0; len(data) > 0 && step < 512; step++ {
 			switch d := next(); d % 4 {
 			case 0: // just before the next slot or epoch end, or inside its stall
@@ -149,50 +215,50 @@ func FuzzRefMatchesAccess(f *testing.F) {
 				run := make([]RefRead, 1+op%4)
 				coords := make([]Coord, len(run))
 				resolved := true
-				for k := range run {
-					coords[k] = coord()
-					run[k].Gap = sim.Cycles(next())
-					ref, ok := refs[coords[k]]
+				for i := range run {
+					coords[i] = coord()
+					run[i].Gap = sim.Cycles(next())
+					ref, ok := refs[coords[i]]
 					if !ok {
-						if ref, ok = ms[1].Ref(ms[1].mapper.Unmap(coords[k])); ok {
-							refs[coords[k]] = ref
+						if ref, ok = ms[1].Ref(ms[1].mapper.Unmap(coords[i])); ok {
+							refs[coords[i]] = ref
 						}
 					}
-					run[k].Ref, resolved = ref, resolved && ok
+					run[i].Ref, resolved = ref, resolved && ok
 				}
-				var total sim.Cycles
-				ok := false
+				tail, k := sim.Cycles(next()), 1+next()%64
+				if !state(0, checked, checkedTransient).equal(state(1, checked, checkedTransient)) {
+					t.Fatalf("step %d: resolving refs changed the module", step)
+				}
+				var rr RefRun
 				if resolved {
-					total, ok = ms[1].GuardReads(run, now)
+					rr = ms[1].ReadRefs(run, now, tail, k)
+					runs++
+					steady += rr.Steady
 				}
-				if !readRefState(ms[0], banks, rows, checked).equal(readRefState(ms[1], banks, rows, checked)) {
-					t.Fatalf("step %d: resolving refs or guarding the run changed the module", step)
-				}
-				if ok {
-					ms[1].ApplyReads(run)
-					accepted++
-				}
-				var sum sim.Cycles
-				for k, c := range coords {
-					now += run[k].Gap
-					res := ms[0].AccessCoord(c, false, now)
-					if !ok {
-						ms[1].AccessCoord(c, false, now)
-					} else if res.Latency != run[k].Latency() {
-						t.Fatalf("step %d: read %d of the run: AccessCoord latency %d, guard %d", step, k, res.Latency, run[k].Latency())
+				var sum, last sim.Cycles
+				for rep := 0; rep < k; rep++ {
+					for i, c := range coords {
+						now += run[i].Gap
+						last = ms[0].AccessCoord(c, false, now).Latency
+						if !resolved {
+							ms[1].AccessCoord(c, false, now)
+						}
+						now += last
+						sum += last
 					}
-					now += res.Latency
-					sum += res.Latency
+					now += tail
 				}
-				if ok && sum != total {
-					t.Fatalf("step %d: the run's latency is %d, the guard's %d", step, sum, total)
+				if resolved && (rr.Latency != sum || rr.Last != last) {
+					t.Fatalf("step %d: %d repetitions of the run: AccessCoord latency %d, last %d; ReadRefs %d, last %d",
+						step, k, sum, last, rr.Latency, rr.Last)
 				}
 			}
-			if a, b := readRefState(ms[0], banks, rows, checked), readRefState(ms[1], banks, rows, checked); !a.equal(b) {
+			if a, b := state(0, checked, checkedTransient), state(1, checked, checkedTransient); !a.equal(b) {
 				t.Fatalf("step %d: the modules differ\nreference:    %+v\nthrough refs: %+v", step, a, b)
 			}
-			checked = len(ms[0].flips)
+			checked, checkedTransient = len(ms[0].flips), len(ms[0].transient)
 		}
-		t.Logf("%d runs accepted, %d flips", accepted, len(ms[0].flips))
+		t.Logf("%d runs through refs, %d reads steady, %d flips", runs, steady, len(ms[0].flips))
 	})
 }

@@ -179,3 +179,23 @@ func (m *XORMapper) Unmap(c Coord) uint64 {
 }
 
 var _ Mapper = (*XORMapper)(nil)
+
+// UniformBlocks reports whether m maps every address of each size-aligned
+// block of physical memory (size a power of two) to one bank and row: for a
+// LinearMapper, when a row spans at least size bytes; for an XORMapper,
+// when besides that no bank mask takes a bit below size. It is false for
+// any other Mapper.
+func UniformBlocks(m Mapper, size uint64) bool {
+	switch mm := m.(type) {
+	case *LinearMapper:
+		return uint64(mm.geom.RowBytes) >= size
+	case *XORMapper:
+		for _, mask := range mm.bankMasks {
+			if mask&(size-1) != 0 {
+				return false
+			}
+		}
+		return uint64(mm.linear.geom.RowBytes) >= size
+	}
+	return false
+}

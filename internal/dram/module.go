@@ -120,6 +120,8 @@ type Module struct {
 	epochStart sim.Cycles
 	epochEnd   sim.Cycles
 
+	steadyBuf []steadyRead // the steady repeat's scratch (ref.go)
+
 	stats Stats
 }
 
@@ -234,13 +236,19 @@ func (m *Module) Flips() []BitFlip {
 // FlipCount returns the number of bit flips recorded so far.
 func (m *Module) FlipCount() int { return len(m.flips) }
 
-// OnActivate registers a hook invoked on every row activation.
+// OnActivate registers a hook invoked on every row activation. A hook acts
+// on the DRAM module only (refreshing rows, counting, classifying flips),
+// never on the machine around it: memsys applies whole iterations of a
+// hammer loop at once, hooks included, because nothing a hook does can stop
+// the per-request path mid-iteration (memsys/skip.go). Every hook in
+// internal/defense complies.
 func (m *Module) OnActivate(h ActivateHook) { m.hooks = append(m.hooks, h) }
 
 // SetInterceptor installs a pre-activation filter: when it returns true the
 // access is served without opening the DRAM row (the mechanism behind
 // ARMOR-style hot-row buffers in the memory controller). Row-buffer hits
-// are not intercepted — they never activate.
+// are not intercepted — they never activate. Like an OnActivate hook, the
+// filter acts on the DRAM module and its own state only.
 func (m *Module) SetInterceptor(f func(c Coord, now sim.Cycles) bool) { m.interceptor = f }
 
 // plantCheck validates the coordinates and threshold common to the Plant
@@ -307,13 +315,12 @@ func (m *Module) rowCells(bank, row int) []weakCell {
 
 // cacheThreshold computes (bank,row)'s weakest-cell threshold and stores it
 // on the row's victim record, with +Inf standing in for "never flips".
-func (m *Module) cacheThreshold(v *victim, bank, row int) float64 {
+func (m *Module) cacheThreshold(v *victim, bank, row int) {
 	thr, vulnerable := m.RowThreshold(bank, row)
 	if !vulnerable {
 		thr = math.Inf(1)
 	}
 	v.thr = thr
-	return thr
 }
 
 // RowThreshold reports the flip threshold of (bank,row)'s weakest cell, and
@@ -475,33 +482,39 @@ func (m *Module) coord(pa uint64) Coord {
 
 // AccessCoord is Access for a pre-decoded coordinate.
 func (m *Module) AccessCoord(c Coord, write bool, now sim.Cycles) AccessResult {
+	return m.access(c, m.cfg.Geometry.Rank(c.Bank), write, now, nil)
+}
+
+// access is AccessCoord for c on the given rank. A read through a Ref
+// (ref.go) runs it too, with ref's pre-resolved records standing in for the
+// lookups of c's row and its neighbours when the read activates; ref is nil
+// for every other access.
+func (m *Module) access(c Coord, rank int, write bool, now sim.Cycles, ref *Ref) AccessResult {
 	// Row-buffer-hit fast path: the open row matches, the rank is provably
 	// outside any refresh-stall window, no REF boundary was crossed since
 	// the bank's last access, and neither contention nor the command engine
 	// is in play. Every condition is a pure read, so falling through runs
 	// the general path with no state disturbed; when all hold, the general
 	// path would perform exactly these updates.
-	if b := &m.banks[c.Bank]; b.openRow == c.Row && m.engine == nil && !m.cfg.Contention {
-		rank := m.cfg.Geometry.Rank(c.Bank)
-		if now >= m.stallFreeFrom[rank] && now < m.stallFreeTo[rank] &&
-			now >= m.epochStart && now < m.epochEnd &&
-			b.lastAccess >= m.epochStart && b.lastAccess < m.epochEnd {
-			if write {
-				m.stats.Writes++
-			} else {
-				m.stats.Reads++
-			}
-			m.stats.RowHits++
-			b.lastAccess = now
-			return AccessResult{Coord: c, RowHit: true, Latency: m.cfg.Timing.RowHit}
+	if b := &m.banks[c.Bank]; b.openRow == c.Row && m.engine == nil && !m.cfg.Contention &&
+		now >= m.stallFreeFrom[rank] && now < m.stallFreeTo[rank] &&
+		now >= m.epochStart && now < m.epochEnd &&
+		b.lastAccess >= m.epochStart && b.lastAccess < m.epochEnd {
+		if write {
+			m.stats.Writes++
+		} else {
+			m.stats.Reads++
 		}
+		m.stats.RowHits++
+		b.lastAccess = now
+		return AccessResult{Coord: c, RowHit: true, Latency: m.cfg.Timing.RowHit}
 	}
 	if write {
 		m.stats.Writes++
 	} else {
 		m.stats.Reads++
 	}
-	stall := m.refreshStall(m.cfg.Geometry.Rank(c.Bank), now)
+	stall := m.refreshStall(rank, now)
 	if stall > 0 {
 		m.stats.RefreshStalls++
 		m.stats.StallCycles += stall
@@ -521,7 +534,6 @@ func (m *Module) AccessCoord(c Coord, write bool, now sim.Cycles) AccessResult {
 	}
 	b.lastAccess = now
 	res := AccessResult{Coord: c, Stall: stall}
-	rank := m.cfg.Geometry.Rank(c.Bank)
 	switch {
 	case b.openRow == c.Row:
 		m.stats.RowHits++
@@ -544,7 +556,12 @@ func (m *Module) AccessCoord(c Coord, write bool, now sim.Cycles) AccessResult {
 		b.busyUntil = now + res.Latency - stall
 	}
 	if res.Activated {
-		m.activate(c, now)
+		if ref != nil {
+			m.activateRows(c, ref.self, ref.below, ref.above, now)
+			m.activateTail(c, now)
+		} else {
+			m.activate(c, now)
+		}
 	}
 	return res
 }
@@ -583,6 +600,13 @@ func (m *Module) activate(c Coord, now sim.Cycles) {
 	// allocates their pages, which may be its own.
 	self := m.disturbed[c.Bank].peek(c.Row)
 	m.activateRows(c, self, m.victimAt(c.Bank, c.Row-1), m.victimAt(c.Bank, c.Row+1), now)
+	m.activateTail(c, now)
+}
+
+// activateTail is what follows activateRows for every activation: far
+// coupling, injected transient errors and the activation hooks. Reads
+// through refs run it too, after activating through their records.
+func (m *Module) activateTail(c Coord, now sim.Cycles) {
 	if far := m.cfg.Disturb.FarCouplingRatio; far > 0 {
 		m.disturb(c.Bank, c.Row-2, +1, far, now)
 		m.disturb(c.Bank, c.Row+2, -1, far, now)
@@ -599,7 +623,7 @@ func (m *Module) activate(c Coord, now sim.Cycles) {
 
 // activateRows opens c.Row, restores its charge and disturbs its immediate
 // neighbours, whose records below (row-1) and above (row+1) are nil outside
-// the bank. activate and ApplyReads share it.
+// the bank. activate and reads through refs share it.
 func (m *Module) activateRows(c Coord, self, below, above *victim, now sim.Cycles) {
 	m.banks[c.Bank].openRow = c.Row
 	m.stats.Activations++
@@ -652,7 +676,8 @@ func (m *Module) victimAt(bank, row int) *victim {
 }
 
 // deposit is disturb on (bank,row)'s record v: the lazy periodic-refresh
-// reset, then the units, then any flips the accumulator reaches.
+// reset, then the units (victim.add), then any flips the accumulator
+// reaches.
 func (m *Module) deposit(v *victim, bank, row int, side int8, scale float64, now sim.Cycles) {
 	// Lazy periodic-refresh reset.
 	if r := m.lastScheduledRefresh(row, now); r > v.lastReset {
@@ -661,26 +686,38 @@ func (m *Module) deposit(v *victim, bank, row int, side int8, scale float64, now
 		v.lastSide = 0
 		v.flipped = 0
 	}
-	units := scale
-	// Alternation bonus: the victim's previous disturbance came from its
-	// other neighbour (double-sided hammering discharges super-linearly).
-	if scale == 1 && v.lastSide != 0 && v.lastSide != side {
-		units += m.cfg.Disturb.AlternationBonus
+	if v.thr == 0 {
+		m.cacheThreshold(v, bank, row)
 	}
+	if v.add(side, scale, m.cfg.Disturb.AlternationBonus) {
+		m.flip(v, bank, row, now)
+	}
+}
+
+// add adds scale units to the accumulator, plus bonus for a unit deposit
+// from the side opposite the previous one, and reports whether it has
+// reached the cached threshold. deposit and the steady repeat of reads
+// through refs (ref.go) share it.
+func (v *victim) add(side int8, scale, bonus float64) bool {
+	units := scale
 	if scale == 1 {
+		// Alternation bonus: the victim's previous disturbance came from
+		// its other neighbour (double-sided hammering discharges
+		// super-linearly).
+		if v.lastSide != 0 && v.lastSide != side {
+			units += bonus
+		}
 		v.lastSide = side
 	}
 	v.units += units
-	// Fast path: compare against the cached threshold and materialise the
-	// cell list only once the weakest cell's threshold has been reached (the
-	// hot path runs on every activation).
-	thr := v.thr
-	if thr == 0 {
-		thr = m.cacheThreshold(v, bank, row)
-	}
-	if v.units < thr {
-		return
-	}
+	// The cell list is materialised only once the weakest cell's threshold
+	// has been reached (the hot path runs on every activation).
+	return v.units >= v.thr
+}
+
+// flip records a flip for each of (bank,row)'s weak cells, weakest first,
+// that v's accumulator has reached since its last reset.
+func (m *Module) flip(v *victim, bank, row int, now sim.Cycles) {
 	cells := m.rowCells(bank, row)
 	for int(v.flipped) < len(cells) && v.units >= cells[v.flipped].threshold {
 		m.flips = append(m.flips, BitFlip{

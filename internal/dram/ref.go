@@ -6,24 +6,38 @@ import "repro/internal/sim"
 //
 // A hammer loop reads the same few lines at the same offsets of every
 // iteration, and once the cache hierarchy replays the loop's cache state
-// the memory system knows each iteration's DRAM reads before it runs them
-// (memsys's iteration skip). A Ref resolves such a line once: its
-// coordinate and the victim records an activation of its row touches. A run
-// of reads through refs then takes two steps:
+// the memory system knows a run of iterations' DRAM reads before it makes
+// them (memsys's iteration skip). A Ref resolves such a line once: its
+// coordinate, its rank and the victim records an activation of its row
+// touches. ReadRefs makes a run of reads through refs, repeated k times,
+// each read at the time the per-request path would make it, in one of two
+// ways:
 //
-//   - GuardReads, a pure read, decides for every read of the run, in order,
-//     its time, class and latency, tracking each bank's open row and last
-//     access across the run's own reads. It accepts the run only when every
-//     read would take AccessCoord's plain path: no refresh stall (the read
-//     lies inside its rank's memoised stall-free window), no refresh-epoch
-//     recomputation (inside the memoised epoch), and nothing but the plain
-//     activation (no command engine, bank contention, interceptor,
-//     activation hook, far coupling or injected fault).
-//   - ApplyReads makes the state changes AccessCoord would make for each
-//     read, at the time GuardReads decided, through the activation and the
-//     deposit-and-flip code AccessCoord itself runs (activateRows,
-//     deposit). So every float addition, alternation bonus, lazy refresh
-//     reset and flip happens in the same order, at the same simulated time.
+//   - The live read runs AccessCoord's own body (access) with the Ref's
+//     records standing in for the lookups, so refresh stalls, the REF-close
+//     check, the interceptor, far coupling, injected faults and the
+//     activation hooks act exactly as they do for a request.
+//   - The steady repeat (steady) applies a stretch of reads whose outcome
+//     is provably the same in every pass over the run. The module has no
+//     hook, interceptor, injected fault or far coupling; every bank the
+//     run reads holds the row the run's cyclically last read of it opens,
+//     and was last accessed in the memoised refresh epoch; every read of
+//     the stretch lies inside that epoch and inside its rank's memoised
+//     stall-free window; and every record the run disturbs has its
+//     threshold cached and no refresh sweep pending (lastScheduledRefresh
+//     <= lastReset). Then no read stalls or finds its row closed by a REF,
+//     and each read finds its bank as the run's cyclically previous read
+//     of it left it, so its class and latency are the same in every pass,
+//     wherever the stretch starts or ends. The lazy refresh check in
+//     deposit cannot fire: lastScheduledRefresh depends on the time only
+//     through its refresh epoch, and lastReset only grows. The tight loop
+//     makes, per activation, the self reset and the two deposits in
+//     access's order through deposit's own code after its lazy check
+//     (victim.add, flip), then adds the counters once and sets each bank's
+//     open row and last access.
+//
+// Anything the steady repeat does not cover takes the live read, one read
+// at a time, after which the steady repeat is tried again.
 
 // Ref is a pre-resolved reference to one DRAM line.
 type Ref struct {
@@ -62,85 +76,233 @@ func (m *Module) Ref(pa uint64) (Ref, bool) {
 type RefRead struct {
 	Ref Ref
 	// Gap is the simulated time from the completion of the run's previous
-	// read (the run's start, for the first) to this read.
+	// read (the repetition's start, for the first) to this read.
 	Gap sim.Cycles
-
-	// Set by GuardReads: the read's time, latency and class.
-	at   sim.Cycles
-	lat  sim.Cycles
-	kind uint8
 }
 
-// Read classes.
-const (
-	readHit      uint8 = iota // the row is open
-	readClosed                // the bank is precharged, or a REF closed the row
-	readConflict              // another row is open
-)
+// RefRun is what ReadRefs reports about the reads it made.
+type RefRun struct {
+	Latency sim.Cycles // every read's latency, summed
+	Last    sim.Cycles // the last read's latency
+	Steady  int        // reads the steady repeat applied
+}
 
-// Latency is the read's latency, as the last accepting GuardReads decided.
-func (rd *RefRead) Latency() sim.Cycles { return rd.lat }
-
-// GuardReads decides, changing nothing in the module, whether ApplyReads can
-// apply run from start, and returns the run's summed read latency. See the
-// comment at the top of this file for what it accepts.
-func (m *Module) GuardReads(run []RefRead, start sim.Cycles) (sim.Cycles, bool) {
-	if m.engine != nil || m.cfg.Contention || m.interceptor != nil || len(m.hooks) > 0 ||
-		m.fault != nil || m.cfg.Disturb.FarCouplingRatio > 0 {
+// ReadBound bounds the latency of one read, a refresh stall included, while
+// the module's timing is fixed: no command engine and no bank contention.
+// ok is false otherwise.
+func (m *Module) ReadBound() (bound sim.Cycles, ok bool) {
+	if m.engine != nil || m.cfg.Contention {
 		return 0, false
 	}
-	t, total := start, sim.Cycles(0)
-	for i := range run {
+	return m.cfg.Timing.RFC + m.cfg.Timing.RowConflict, true
+}
+
+// ReadRefs makes the reads of run, repeated k times from start: each read
+// Gap after the previous one completes, and each repetition after the
+// first tail after the previous repetition's last read completes. The
+// module ends exactly as k repetitions of the reads through AccessCoord
+// leave it.
+func (m *Module) ReadRefs(run []RefRead, start, tail sim.Cycles, k int) RefRun {
+	var out RefRun
+	plain := len(run) > 0 && len(m.hooks) == 0 && m.interceptor == nil && m.fault == nil &&
+		m.cfg.Disturb.FarCouplingRatio == 0 && m.engine == nil && !m.cfg.Contention
+	if plain {
+		m.steadyPlan(run)
+	}
+	t := start
+	// i is the next read's index in run, and left the reads still to make.
+	for i, left := 0, k*len(run); left > 0; {
+		if plain {
+			if n := m.steady(run, i, &t, tail, left, &out); n > 0 {
+				left -= n
+				i = (i + n) % len(run)
+				continue
+			}
+		}
 		rd := &run[i]
 		t += rd.Gap
-		if t < m.stallFreeFrom[rd.Ref.rank] || t >= m.stallFreeTo[rd.Ref.rank] ||
-			t < m.epochStart || t >= m.epochEnd {
-			return 0, false
+		out.Last = m.access(rd.Ref.c, rd.Ref.rank, false, t, &rd.Ref).Latency
+		t += out.Last
+		out.Latency += out.Last
+		left--
+		if i++; i == len(run) {
+			i = 0
+			t += tail
 		}
-		c := rd.Ref.c
-		b := &m.banks[c.Bank]
-		open, last := b.openRow, b.lastAccess
-		for j := i - 1; j >= 0; j-- {
-			if prev := &run[j]; prev.Ref.c.Bank == c.Bank {
-				open, last = prev.Ref.c.Row, prev.at
+	}
+	return out
+}
+
+// steadyRead is one read of a run as the steady repeat applies it.
+type steadyRead struct {
+	ref *Ref
+	// next is the index of the run's cyclically next read of the same
+	// bank, the read itself when it is the bank's only one.
+	next int
+	// activate reports that the run's cyclically previous read of the bank
+	// opened another row: in a steady repeat the read displaces it, at
+	// RowConflict, and activates its own; otherwise it hits, at RowHit.
+	activate bool
+	lat      sim.Cycles
+	// Set by each steady call: the read's offset from the time *t, in the
+	// order the call reads the run, and the room from the read's first time
+	// to the end of its windows, exclusive.
+	off, room sim.Cycles
+}
+
+// steadyPlan fills m.steadyBuf with the bank structure of run, which the
+// steady repeat reads the run by: each read finds its bank as the run's
+// cyclically previous read of it left it, wherever a repetition starts.
+func (m *Module) steadyPlan(run []RefRead) {
+	if cap(m.steadyBuf) < len(run) {
+		m.steadyBuf = make([]steadyRead, len(run))
+	}
+	sr := m.steadyBuf[:len(run)]
+	for p := range run {
+		c := run[p].Ref.c
+		prev, next := p, p
+		for d := 1; d < len(run); d++ {
+			if run[(p+d)%len(run)].Ref.c.Bank == c.Bank {
+				next = (p + d) % len(run)
 				break
 			}
 		}
-		if last < m.epochStart || last >= m.epochEnd {
-			open = -1 // a REF since the bank's last access closed its row
+		for d := 1; d < len(run); d++ {
+			if run[(p+len(run)-d)%len(run)].Ref.c.Bank == c.Bank {
+				prev = (p + len(run) - d) % len(run)
+				break
+			}
 		}
-		switch {
-		case open == c.Row:
-			rd.kind, rd.lat = readHit, m.cfg.Timing.RowHit
-		case open < 0:
-			rd.kind, rd.lat = readClosed, m.cfg.Timing.RowClosed
-		default:
-			rd.kind, rd.lat = readConflict, m.cfg.Timing.RowConflict
+		sr[p] = steadyRead{ref: &run[p].Ref, next: next, activate: run[prev].Ref.c.Row != c.Row, lat: m.cfg.Timing.RowHit}
+		if sr[p].activate {
+			sr[p].lat = m.cfg.Timing.RowConflict
 		}
-		rd.at = t
-		t += rd.lat
-		total += rd.lat
 	}
-	return total, true
 }
 
-// ApplyReads applies a run that GuardReads accepted, with no other call on
-// the module in between.
-func (m *Module) ApplyReads(run []RefRead) {
-	for i := range run {
-		rd := &run[i]
-		r := &rd.Ref
-		m.stats.Reads++
-		m.banks[r.c.Bank].lastAccess = rd.at
-		switch rd.kind {
-		case readHit:
-			m.stats.RowHits++
-			continue
-		case readClosed:
-			m.stats.RowMisses++
-		default:
-			m.stats.RowConflicts++
+// steady applies as many of the next left reads of run, from run[i] on
+// with *t the time its Gap counts from, as the steady repeat covers (see
+// the top of this file), advancing *t and adding to out, and returns how
+// many it applied: 0 when any condition fails, with nothing changed. The
+// reads wrap to run[0] after a tail, and the last one applied may end a
+// repetition anywhere. steadyPlan has planned run.
+func (m *Module) steady(run []RefRead, i int, t *sim.Cycles, tail sim.Cycles, left int, out *RefRun) int {
+	n := len(run)
+	sr := m.steadyBuf[:n]
+	var off sim.Cycles
+	for x, p := 0, i; x < n; x++ {
+		rd := &run[p]
+		if x > 0 && p == 0 {
+			off += tail
 		}
-		m.activateRows(r.c, r.self, r.below, r.above, rd.at)
+		off += rd.Gap
+		when := *t + off
+		lo, hi := max(m.epochStart, m.stallFreeFrom[rd.Ref.rank]), min(m.epochEnd, m.stallFreeTo[rd.Ref.rank])
+		if when < lo || when >= hi {
+			return 0
+		}
+		// The bank must hold the row of its last read in this order.
+		if (sr[p].next-i+n)%n <= x {
+			b := &m.banks[rd.Ref.c.Bank]
+			if b.openRow != rd.Ref.c.Row || b.lastAccess < m.epochStart || b.lastAccess >= m.epochEnd {
+				return 0
+			}
+		}
+		sr[p].off, sr[p].room = off, hi-1-when
+		off += sr[p].lat
+		if p++; p == n {
+			p = 0
+		}
 	}
+	period := off // one pass over run from run[i] back to it
+	if i == 0 {
+		period += tail
+	}
+	// The read x of the order fits in the first room/period+1 passes, so
+	// the first that does not is the pass after those, at x.
+	count := left
+	for x, p := 0, i; x < n; x++ {
+		if c := uint64(sr[p].room/period+1)*uint64(n) + uint64(x); c < uint64(count) {
+			count = int(c)
+		}
+		if p++; p == n {
+			p = 0
+		}
+	}
+	t0 := *t + sr[i].off
+	for p := range run {
+		if r := &run[p].Ref; sr[p].activate && !(m.settled(r.below, r.c.Row-1, t0) && m.settled(r.above, r.c.Row+1, t0)) {
+			return 0
+		}
+	}
+
+	bonus := m.cfg.Disturb.AlternationBonus
+	base, p, x := *t, i, 0
+	for j := 0; j < count; j++ {
+		if s := &sr[p]; s.activate {
+			now, r := base+s.off, s.ref
+			r.self.units = 0
+			r.self.lastReset = now
+			r.self.lastSide = 0
+			r.self.flipped = 0
+			if r.below != nil && r.below.add(+1, 1, bonus) {
+				m.flip(r.below, r.c.Bank, r.c.Row-1, now)
+			}
+			if r.above != nil && r.above.add(-1, 1, bonus) {
+				m.flip(r.above, r.c.Bank, r.c.Row+1, now)
+			}
+		}
+		if p++; p == n {
+			p = 0
+		}
+		if x++; x == n {
+			x = 0
+			base += period
+		}
+	}
+
+	// The counters, each read's count times of application, and the bank
+	// state the last pass's reads leave.
+	passes, rest := count/n, count%n
+	var acts uint64
+	var lat sim.Cycles
+	for x, p := 0, i; x < n; x++ {
+		k := passes
+		if x < rest {
+			k++
+		}
+		if sr[p].activate {
+			acts += uint64(k)
+		}
+		lat += sim.Cycles(k) * sr[p].lat
+		if p++; p == n {
+			p = 0
+		}
+	}
+	var end sim.Cycles
+	for j := max(0, count-n); j < count; j++ {
+		s := &sr[(i+j%n)%n]
+		now := *t + sim.Cycles(j/n)*period + s.off
+		b := &m.banks[s.ref.c.Bank]
+		b.openRow, b.lastAccess = s.ref.c.Row, now
+		end = now + s.lat
+		out.Last = s.lat
+	}
+	m.stats.Reads += uint64(count)
+	m.stats.RowHits += uint64(count) - acts
+	m.stats.RowConflicts += acts
+	m.stats.Activations += acts
+	*t = end
+	if (i+count)%n == 0 {
+		*t += tail
+	}
+	out.Latency += lat
+	out.Steady += count
+	return count
+}
+
+// settled reports whether the record v of row (nil outside the bank) has
+// its threshold cached and no refresh sweep pending at t.
+func (m *Module) settled(v *victim, row int, t sim.Cycles) bool {
+	return v == nil || v.thr != 0 && m.lastScheduledRefresh(row, t) <= v.lastReset
 }

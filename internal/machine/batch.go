@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"slices"
+
 	"repro/internal/memsys"
 	"repro/internal/sim"
 	"repro/internal/vm"
@@ -21,6 +23,12 @@ import (
 // DefaultBatchCap is the view size requested from a BatchProgram when
 // Config.BatchCap is zero.
 const DefaultBatchCap = 256
+
+// RingIterations is how many iterations, at least, a ring-served periodic
+// program's views and its request ring span, whatever the batch cap: the
+// memory system skips runs of whole iterations inside one view, so a view
+// of a few long iterations would cut every run short.
+const RingIterations = 64
 
 // minEpochSpan is the shortest horizon gap worth planning an epoch for; a
 // tighter horizon (sibling cores in near-lockstep) runs per-op instead. Purely
@@ -105,9 +113,9 @@ func (m *Machine) runCore(c *Core, until sim.Cycles) error {
 		if pp != nil {
 			// Views of whole iterations keep a ring-served program at an
 			// iteration boundary from one view to the next, where the
-			// memory system can skip whole iterations.
-			if committed, iter = pp.Period(); len(iter) > 0 && len(iter) <= viewCap {
-				viewCap -= viewCap % len(iter)
+			// memory system can skip runs of whole iterations.
+			if committed, iter = pp.Period(); len(iter) > 0 {
+				viewCap = max(viewCap-viewCap%len(iter), RingIterations*len(iter))
 			}
 		}
 		m.current = c
@@ -151,19 +159,21 @@ func reqKind(k OpKind) (kind memsys.ReqKind, ok bool) {
 // ringFor makes c.ring the requests of iter in c's address space at its
 // current generation, rebuilding it when the address space has changed
 // since it was built: the iteration translated, typed and tagged with each
-// request's 1-based position, repeated as whole iterations to at least
-// DefaultBatchCap entries. Translation is a pure function of the page map,
-// so the ring holds exactly the requests the gather in execView would
-// build. It reports false, and leaves the ring empty until the next remap,
-// when the iteration holds an operation a ring cannot carry: an OpCompute,
-// or a VA that does not translate, which execView and stepCore then report.
+// request's 1-based position, repeated as whole iterations, at least
+// RingIterations of them and at least DefaultBatchCap entries. Translation
+// is a pure function of the page map, so the ring holds exactly the
+// requests the gather in execView would build. It reports false, and
+// leaves the ring empty until the next remap, when the iteration holds an
+// operation a ring cannot carry: an OpCompute, or a VA that does not
+// translate, which execView and stepCore then report.
 func (c *Core) ringFor(iter []Op) bool {
 	as := c.Proc.AS
 	if c.ringAS == as && c.ringGen == as.Gen() {
 		return len(c.ring) > 0
 	}
 	c.ringAS, c.ringGen, c.ringIter = as, as.Gen(), len(iter)
-	c.ring = c.ring[:0]
+	copies := max(RingIterations, (DefaultBatchCap+len(iter)-1)/max(len(iter), 1))
+	c.ring = slices.Grow(c.ring[:0], copies*len(iter))
 	for j, op := range iter {
 		kind, ok := reqKind(op.Kind)
 		if !ok {
@@ -177,7 +187,7 @@ func (c *Core) ringFor(iter []Op) bool {
 		}
 		c.ring = append(c.ring, memsys.Req{VA: op.VA, PA: pa, Kind: kind, Pos: uint32(j + 1)})
 	}
-	for len(c.ring) > 0 && len(c.ring) < DefaultBatchCap {
+	for len(c.ring) > 0 && len(c.ring) < copies*len(iter) {
 		c.ring = append(c.ring, c.ring[:len(iter)]...)
 	}
 	return len(c.ring) > 0
@@ -270,6 +280,8 @@ func (m *Machine) accessRun(c *Core, reqs []memsys.Req, iter int, horizon sim.Cy
 	rr := m.Mem.AccessRun(reqs, iter, c.Proc.ID, c.ID, &c.Now, horizon, &m.Kernel.gen)
 	m.current = nil
 	m.itersSkipped += uint64(rr.Skipped)
+	m.skippedReads += uint64(rr.SkippedReads)
+	m.steadyReads += uint64(rr.SteadyReads)
 	c.Stats.Ops += uint64(rr.Executed)
 	c.Stats.Loads += rr.Loads
 	c.Stats.Stores += rr.Stores

@@ -8,3 +8,8 @@ func RingServed(m *Machine) uint64 { return m.ringServed }
 // memsys.AccessRun skipped on m, for the engagement tests in package
 // machine_test.
 func IterationsSkipped(m *Machine) uint64 { return m.itersSkipped }
+
+// SteadyReads reports how many DRAM reads of the iterations
+// memsys.AccessRun skipped on m the steady repeat applied, of how many, for
+// the engagement tests in package machine_test.
+func SteadyReads(m *Machine) (steady, reads uint64) { return m.steadyReads, m.skippedReads }

@@ -272,10 +272,12 @@ type Config struct {
 	AllocPolicy vm.AllocPolicy
 	AllocSeed   uint64
 	// BatchCap bounds how many operations a batch-capable program executes
-	// per inner-loop view (see BatchProgram). Zero selects DefaultBatchCap;
-	// 1 disables batching entirely, forcing the per-op step path — the
-	// escape hatch for bisecting any batched-vs-per-op divergence. Results
-	// are byte-identical at every setting.
+	// per inner-loop view (see BatchProgram), except that a ring-served
+	// periodic program's views span at least RingIterations iterations.
+	// Zero selects DefaultBatchCap; 1 disables batching entirely, forcing
+	// the per-op step path — the escape hatch for bisecting any
+	// batched-vs-per-op divergence. Results are byte-identical at every
+	// setting.
 	BatchCap int
 }
 
@@ -304,10 +306,14 @@ type Machine struct {
 	current  *Core // core whose op is executing (for Charge)
 	spawnGen int   // bumped by Spawn/SpawnShared; invalidates Run's fast path
 	batchCap int   // resolved Config.BatchCap (<=1 means per-op stepping)
-	// ringServed counts the memory requests served from cores' rings, and
-	// itersSkipped the iterations among them memsys.AccessRun skipped.
+	// ringServed counts the memory requests served from cores' rings,
+	// itersSkipped the iterations among them memsys.AccessRun skipped,
+	// skippedReads the DRAM reads of those, and steadyReads the reads among
+	// them that DRAM's steady repeat applied.
 	ringServed   uint64
 	itersSkipped uint64
+	skippedReads uint64
+	steadyReads  uint64
 }
 
 // New builds a machine.

@@ -73,13 +73,18 @@ func TestRingEngages(t *testing.T) {
 	}
 }
 
-// TestIterationSkipEngages pins where memsys.AccessRun applies whole
-// iterations of a ring-served program at once: at least 80% of the
-// iterations of each Table 1 attack, run to its first flip at seed 1, and
-// none where the skip must stand aside — at StepBatch 1, under a hardware
-// defense that watches or intercepts activations (PARA, TRR, ARMOR), with
-// injected refresh skips, with command-level DRAM timing, and on the 4-core
-// Table 3 heavy point.
+// TestIterationSkipEngages pins where memsys.AccessRun applies runs of
+// whole iterations of a ring-served program at once, and where DRAM
+// repeats their reads in its steady loop. Each Table 1 attack, run to its
+// first flip at seed 1, is skipped for at least 95% of its iterations, and
+// the steady repeat applies at least 90% of those iterations' DRAM reads. Under a hardware defense
+// that watches or intercepts activations (PARA, TRR, ARMOR), with injected
+// refresh skips, and under the fault matrix's noisy-ecc profile (transient
+// ECC errors, an ECC scrubber and ANVIL), whose reads the skip serves live,
+// at least 80% are skipped. None are where the skip must stand aside: at
+// StepBatch 1, with command-level DRAM timing or bank contention (the
+// skip's latency bound needs fixed timing), and on the 4-core Table 3
+// heavy point.
 func TestIterationSkipEngages(t *testing.T) {
 	for _, k := range scenario.AttackKinds() {
 		in, err := scenario.Build(scenario.Spec{Cores: 1, Seed: 1, Attack: &scenario.Attack{Kind: k}})
@@ -90,28 +95,57 @@ func TestIterationSkipEngages(t *testing.T) {
 			t.Fatalf("%s: RunUntilFlip = %v, %v; want a flip", k, flipped, err)
 		}
 		iters, skipped := in.Hammer.Iterations(), machine.IterationsSkipped(in.Machine)
-		t.Logf("%s: skipped %d of %d iterations (%.1f%%)", k, skipped, iters, 100*float64(skipped)/float64(iters))
-		if skipped*5 < iters*4 {
-			t.Errorf("%s: the skip applied %d of %d iterations, want at least 80%%", k, skipped, iters)
+		steady, reads := machine.SteadyReads(in.Machine)
+		t.Logf("%s: skipped %d of %d iterations (%.1f%%); the steady repeat applied %d of their %d DRAM reads (%.1f%%)",
+			k, skipped, iters, 100*float64(skipped)/float64(iters), steady, reads, 100*float64(steady)/float64(reads))
+		if skipped*20 < iters*19 {
+			t.Errorf("%s: the skip applied %d of %d iterations, want at least 95%%", k, skipped, iters)
+		}
+		if steady*10 < reads*9 {
+			t.Errorf("%s: the steady repeat applied %d of the skipped iterations' %d DRAM reads, want at least 90%%", k, steady, reads)
 		}
 	}
 	attack := &scenario.Attack{Kind: scenario.DoubleSidedFlush}
-	heavy := []scenario.Workload{}
-	for _, name := range workload.HeavyLoadNames() {
-		heavy = append(heavy, scenario.Workload{Name: name})
-	}
-	detailed := func(c *machine.Config) { c.Memory.DRAM.Detailed = dram.Detailed(c.Freq) }
-	off := []struct {
+	on := []struct {
 		name string
 		spec scenario.Spec
 	}{
-		{"StepBatch=1", scenario.Spec{Cores: 1, Attack: attack, StepBatch: 1}},
 		{"para", scenario.Spec{Cores: 1, Attack: attack, Defense: scenario.PARA}},
 		{"trr", scenario.Spec{Cores: 1, Attack: attack, Defense: scenario.TRR}},
 		{"armor", scenario.Spec{Cores: 1, Attack: attack, Defense: scenario.ARMOR}},
 		{"refresh skips", scenario.Spec{Cores: 1, Attack: attack,
 			Faults: fault.Spec{DRAM: fault.DRAMSpec{RefreshSkipRate: 0.5}}}},
+		{"noisy-ecc", scenario.Spec{Cores: 1, Attack: attack, Defense: scenario.ANVILBaseline,
+			Faults:   fault.Spec{DRAM: fault.DRAMSpec{ECCCorrectableRate: 2e-5, ECCUncorrectableRate: 2e-6}},
+			ECCScrub: 8 * time.Millisecond}},
+	}
+	for _, c := range on {
+		in, err := scenario.Build(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := in.RunFor(4 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		iters, skipped := in.Hammer.Iterations(), machine.IterationsSkipped(in.Machine)
+		t.Logf("%s: skipped %d of %d iterations (%.1f%%)", c.name, skipped, iters, 100*float64(skipped)/float64(iters))
+		if skipped*5 < iters*4 {
+			t.Errorf("%s: the skip applied %d of %d iterations, want at least 80%%", c.name, skipped, iters)
+		}
+	}
+	heavy := []scenario.Workload{}
+	for _, name := range workload.HeavyLoadNames() {
+		heavy = append(heavy, scenario.Workload{Name: name})
+	}
+	detailed := func(c *machine.Config) { c.Memory.DRAM.Detailed = dram.Detailed(c.Freq) }
+	contention := func(c *machine.Config) { c.Memory.DRAM.Contention = true }
+	off := []struct {
+		name string
+		spec scenario.Spec
+	}{
+		{"StepBatch=1", scenario.Spec{Cores: 1, Attack: attack, StepBatch: 1}},
 		{"detailed DRAM timing", scenario.Spec{Cores: 1, Attack: attack, Mutate: detailed}},
+		{"bank contention", scenario.Spec{Cores: 1, Attack: attack, Mutate: contention}},
 		{"table3 heavy", scenario.Spec{Cores: 4, Attack: &scenario.Attack{Kind: scenario.ClflushFree},
 			Defense: scenario.ANVILBaseline, Workloads: heavy}},
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/defense"
 	"repro/internal/dram"
 	"repro/internal/pmu"
 	"repro/internal/sim"
@@ -236,12 +237,55 @@ func TestRingFaultMatchesPerOp(t *testing.T) {
 	}
 }
 
+// ringHardware are the DRAM modules FuzzPeriodicRingMatchesPerOp draws,
+// each set up identically on both twins: no defense; PARA, TRR or ARMOR,
+// with parameters that act within a short run; injected refresh skips; and
+// transient ECC errors under an ECC scrubber. The iteration skip serves the
+// reads of every one of them live.
+var ringHardware = []func(t *testing.T, m *dram.Module){
+	func(*testing.T, *dram.Module) {},
+	func(t *testing.T, m *dram.Module) {
+		d, err := defense.NewPARA(0.01, 0x9a9a)
+		attach(t, m, d, err)
+	},
+	func(t *testing.T, m *dram.Module) {
+		d, err := defense.NewTRR(40, 200_000)
+		attach(t, m, d, err)
+	},
+	func(t *testing.T, m *dram.Module) {
+		d, err := defense.NewARMOR(30, 2, 150_000)
+		attach(t, m, d, err)
+	},
+	func(t *testing.T, m *dram.Module) {
+		if err := m.InjectFaults(dram.FaultConfig{RefreshSkipRate: 0.5}, sim.NewRand(0x5c1)); err != nil {
+			t.Fatal(err)
+		}
+	},
+	func(t *testing.T, m *dram.Module) {
+		fc := dram.FaultConfig{ECCCorrectableRate: 0.01, ECCUncorrectableRate: 0.005}
+		if err := m.InjectFaults(fc, sim.NewRand(0xecc)); err != nil {
+			t.Fatal(err)
+		}
+		d, err := defense.NewECC(100_000, 64)
+		attach(t, m, d, err)
+	},
+}
+
+// attach attaches the defense d, built with error err, to m.
+func attach(t *testing.T, m *dram.Module, d defense.Defense, err error) {
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Attach(m)
+}
+
 // FuzzPeriodicRingMatchesPerOp draws random periodic programs — 1–48
 // loads, stores and flushes over up to four pages — with random budgets
 // and run lengths, remaps between runs, a PMU overflow handler that
 // charges the core and arms a timer, as the detector does, PEBS samplers
-// whose handler charges the core too, and low flip thresholds planted
-// around the program's rows, so flips land inside skipped iterations. The
+// whose handler charges the core too, low flip thresholds planted around
+// the program's rows, so flips land inside skipped iterations, and, from a
+// trailing byte, a defense or injected DRAM fault (ringHardware). The
 // batched machine, which serves the program from its translated ring and
 // skips whole iterations, and a BatchCap 1 twin must agree on every
 // counter, on the clock, on every flip and sample, and bit for bit on the
@@ -257,6 +301,11 @@ func FuzzPeriodicRingMatchesPerOp(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 254, 0, 2, 0, 3, 0, 0, 30, 63})
 	f.Add([]byte{1, 7, 0, 254, 0, 2, 0, 3, 0, 0, 30, 62})
 	f.Add([]byte{2, 3, 0, 254, 0, 2, 0, 6, 0, 0, 30, 61})
+	// An eight-request loop over four pages, two lines each, whose skipped
+	// iterations activate rows, under each defense and fault.
+	for hw := 1; hw < len(ringHardware); hw++ {
+		f.Add([]byte{3, 7, 0, 254, 0, 2, 0, 49, 0, 0, 30, 62, byte(hw)})
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := &byteSource{b: data}
 		pages := 1 + uint64(s.next()%4)
@@ -272,13 +321,15 @@ func FuzzPeriodicRingMatchesPerOp(f *testing.F) {
 		samplers := s.next() % 4 // bit 0 arms the load sampler, bit 1 the store sampler
 		interval := sim.Cycles(1+s.next()) * 400
 		weak := float64(1 + s.next()*8)
-		lines := 64 - uint64(s.next()%64) // per page; few lines make flushed lines come back
+		lines := 64 - uint64(s.next()%64)  // per page; few lines make flushed lines come back
+		hw := s.next() % len(ringHardware) // the trailing byte: absent, no defense
 		for len(prog.iter) < n {
 			va := ringBase + rng.Uint64n(pages)*vm.PageSize + rng.Uint64n(lines)*64
 			prog.iter = append(prog.iter, Op{Kind: []OpKind{OpLoad, OpLoad, OpStore, OpFlush}[rng.Intn(4)], VA: va})
 		}
 		ms, ps := ringTwins(t, prog)
 		for _, m := range ms {
+			ringHardware[hw](t, m.Mem.DRAM)
 			var arm func(now sim.Cycles)
 			arm = func(sim.Cycles) {
 				m.ChargeCurrent(charge)
@@ -328,6 +379,7 @@ func FuzzPeriodicRingMatchesPerOp(f *testing.F) {
 				t.Fatalf("run %d: samples differ\nbatched: %+v\nper-op:  %+v", run, samples[0], samples[1])
 			}
 		}
+		t.Logf("hardware %d: skipped %d iterations, %d flips", hw, ms[0].itersSkipped, ms[0].Mem.DRAM.FlipCount())
 	})
 }
 

@@ -37,7 +37,7 @@ type System struct {
 	Caches *cache.Hierarchy
 	PMU    *pmu.PMU
 
-	skip skipper // AccessRun's iteration summaries (skip.go)
+	skip skipper // AccessRun's cycle summaries (skip.go)
 }
 
 // dramBackend adapts the DRAM module to the cache.Memory interface.
@@ -115,11 +115,15 @@ type RunResult struct {
 	// Executed counts requests completed (the prefix reqs[:Executed]).
 	Executed int
 	// Skipped counts the whole iterations among them that the iteration
-	// skip applied (skip.go).
-	Skipped int
-	Loads   uint64
-	Stores  uint64
-	Flushes uint64
+	// skip applied (skip.go), SkippedReads their DRAM reads, and SteadyReads
+	// those among the reads that the steady repeat applied
+	// (dram.Module.ReadRefs).
+	Skipped      int
+	SkippedReads int
+	SteadyReads  int
+	Loads        uint64
+	Stores       uint64
+	Flushes      uint64
 	// MemCycles is the summed load/store latency; flush latency is excluded,
 	// matching the per-op accounting in the machine.
 	MemCycles sim.Cycles
@@ -153,9 +157,10 @@ type RunResult struct {
 // Requests tagged with their position in a periodic program's iteration
 // (Req.Pos) go through the hierarchy's AccessAt/FlushAt, which may replay a
 // repeating cache state; DRAM and the PMU still see every access live.
-// When reqs is a window of the program's request ring, iter is the length
-// of its iteration, and a whole iteration from its first request on may be
-// applied at once (skip.go); iter is 0 for any other run.
+// When reqs is a window of the program's request ring, which repeats with
+// period iter from any position, iter is the length of its iteration, and
+// runs of whole iterations from a request that opens one may be applied at
+// once (skip.go); iter is 0 for any other run.
 func (s *System) AccessRun(reqs []Req, iter int, task, core int, now *sim.Cycles, stopAt sim.Cycles, kgen *uint64) RunResult {
 	var r RunResult
 	p := s.PMU
@@ -165,9 +170,11 @@ func (s *System) AccessRun(reqs []Req, iter int, task, core int, now *sim.Cycles
 	bound := p.AccessesUntilOverflow()
 	for i := 0; i < len(reqs); i++ {
 		req := &reqs[i]
-		if req.Pos == 1 && iter > 0 && iter <= len(reqs)-i && s.skipIter(reqs[i:i+iter], now, stopAt, &bound, &r) {
-			i += iter - 1
-			continue
+		if req.Pos == 1 && iter > 0 && iter <= len(reqs)-i {
+			if n := s.skipRun(reqs[i:], iter, now, stopAt, &bound, &r); n > 0 {
+				i += n*iter - 1
+				continue
+			}
 		}
 		if req.Kind == ReqFlush {
 			var lat sim.Cycles

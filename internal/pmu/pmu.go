@@ -201,7 +201,7 @@ func New(seed uint64, bufferCap int) *PMU {
 	if bufferCap <= 0 {
 		bufferCap = 4096
 	}
-	p := &PMU{capacity: bufferCap, buf: make([]Sample, 0, bufferCap)}
+	p := &PMU{capacity: bufferCap}
 	rng := sim.NewRand(seed)
 	p.loads.rng = rng.Split()
 	p.stores.rng = rng.Split()
@@ -398,7 +398,7 @@ func (p *PMU) CountAccess(write, llcMiss bool) {
 // CountRun is CountAccess for a run of accesses at once: loads and stores,
 // of which missLoads and missStores missed the LLC. Like CountAccess it
 // makes no overflow check, so the caller's AccessesUntilOverflow budget
-// must cover the run, and the run must take no sample (SamplesNone).
+// must cover the run, and the run must end before NextSample.
 func (p *PMU) CountRun(loads, stores, missLoads, missStores uint64) {
 	p.counts[EvLoads] += loads
 	p.counts[EvStores] += stores
@@ -407,12 +407,19 @@ func (p *PMU) CountRun(loads, stores, missLoads, missStores uint64) {
 	p.counts[EvLLCMissLoads] += missLoads
 }
 
-// SamplesNone reports whether no PEBS sampler can take a sample of an
-// access made at or before t: of a load when loads is set, of a store when
-// stores is set. Like WantSample it changes nothing.
-func (p *PMU) SamplesNone(t sim.Cycles, loads, stores bool) bool {
-	return (!loads || !p.loads.cfg.Enabled || t < p.loads.next) &&
-		(!stores || !p.stores.cfg.Enabled || t < p.stores.next)
+// NextSample returns the earliest time at which a PEBS sampler could take
+// a sample: of a load when loads is set, of a store when stores is set. No
+// access made before it is sampled. Without an enabled sampler it returns
+// the largest time. Like WantSample it changes nothing.
+func (p *PMU) NextSample(loads, stores bool) sim.Cycles {
+	next := ^sim.Cycles(0)
+	if loads && p.loads.cfg.Enabled {
+		next = min(next, p.loads.next)
+	}
+	if stores && p.stores.cfg.Enabled {
+		next = min(next, p.stores.next)
+	}
+	return next
 }
 
 // WantSample is an inlineable pre-filter for the PEBS tail: it restates
@@ -470,6 +477,11 @@ func (p *PMU) sample(a Access) {
 		}
 		s.VA = uint64(int64(s.VA) + lines*64)
 		f.stats.SkiddedSamples++
+	}
+	if p.buf == nil {
+		// The buffer is made at the first sample: a machine that never
+		// samples, as an undefended one, does not carry it.
+		p.buf = make([]Sample, 0, p.capacity)
 	}
 	p.buf = append(p.buf, s)
 	if p.onSample != nil {
