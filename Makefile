@@ -3,7 +3,7 @@ GO ?= go
 # Packages with a BenchmarkHotPath microbenchmark of the per-access pipeline.
 BENCH_PKGS := ./internal/cache ./internal/pmu ./internal/dram ./internal/machine
 
-.PHONY: all build test race fuzz-smoke fault-smoke resume-smoke serve-smoke worker-smoke vet lint fmt check bench bench-guard
+.PHONY: all build test race fuzz-smoke fault-smoke resume-smoke serve-smoke worker-smoke vet lint fma-check fmt check bench bench-guard
 
 all: build test vet lint
 
@@ -134,6 +134,12 @@ vet:
 # the same run as CI's lint job.
 lint:
 	$(GO) run ./cmd/anvillint ./...
+
+# No fused multiply-add in simulator code: every command cross-compiled for
+# arm64, whose backend fuses x*y + z, must show none inside a repro
+# function (.github/fma-check.sh, the same check as CI's lint job).
+fma-check:
+	bash .github/fma-check.sh
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

@@ -88,7 +88,7 @@ func (d *PARA) Attach(m *dram.Module) {
 				m.RefreshRow(c.Bank, r, now)
 			}
 		}
-	})
+	}, nil)
 }
 
 // TRR is targeted row refresh: activations per row are counted within a
@@ -142,7 +142,7 @@ func (d *TRR) Attach(m *dram.Module) {
 				m.RefreshRow(c.Bank, r, now)
 			}
 		}
-	})
+	}, nil)
 }
 
 // CRA models ideal per-row activation counters (the "activation counter
@@ -190,7 +190,7 @@ func (d *CRA) Attach(m *dram.Module) {
 				d.counts[key(c.Bank, r)] = 0
 			}
 		}
-	})
+	}, nil)
 }
 
 // ARMOR is a controller-side hot-row cache: rows that activate repeatedly

@@ -54,13 +54,18 @@ func (d *ECC) Corrected() uint64 { return d.corrected }
 func (d *ECC) Uncorrectable() uint64 { return d.uncorrectable }
 
 // Attach implements Defense. The scrubber piggybacks on the activation
-// stream for its notion of time (it needs no command of its own).
+// stream for its notion of time (it needs no command of its own). Its hook
+// declares [lastScrub, lastScrub+interval) idle: it scrubs at the first
+// activation outside that window, which includes one before lastScrub
+// (now-lastScrub wraps), and a scrub moves the window.
 func (d *ECC) Attach(m *dram.Module) {
 	d.mod = m
 	m.OnActivate(func(c dram.Coord, now sim.Cycles) {
 		if now-d.lastScrub >= d.interval {
 			d.Scrub(now)
 		}
+	}, func() (from, to sim.Cycles) {
+		return d.lastScrub, d.lastScrub + d.interval
 	})
 }
 

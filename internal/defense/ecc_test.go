@@ -151,3 +151,86 @@ func TestECCFailsOnTransientDoubles(t *testing.T) {
 		t.Errorf("transient doubles were not reported uncorrectable (corrected=%d)", d.Corrected())
 	}
 }
+
+// TestECCWindowBoundsTheSteadyRepeat: the scrubber's idle window ends at its
+// next scrub time, so a stretch of DRAM reads that the steady repeat
+// applies through refs stops there, and the scrub classifies the same
+// flips as under per-request reads. Two weak cells of one word flip a few
+// activations apart, inside one stall-free refresh window, with the scrub
+// due between them: scrubbed in between, each flip is corrected, while a
+// scrub late enough to see both would report the word uncorrectable.
+func TestECCWindowBoundsTheSteadyRepeat(t *testing.T) {
+	cfg := dram.DefaultConfig(sim.DefaultFreq)
+	cfg.Geometry = dram.Geometry{Ranks: 1, BanksPerRank: 8, RowsPerBank: 4096, RowBytes: 8192}
+	trefi := cfg.Timing.TREFI()
+	a, b, victim := dram.Coord{Row: 100}, dram.Coord{Row: 102}, 101
+	const k = 200                               // repetitions of the run a, b
+	start := 200*trefi + cfg.Timing.RFC + 20000 // after the victim's sweep (epoch 101)
+	build := func(interval sim.Cycles) (*dram.Module, *ECC) {
+		m, err := dram.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			units float64
+			bit   int
+		}{{300, 5}, {305, 37}} {
+			if err := m.PlantWeakCell(0, victim, c.units, c.bit); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d, err := NewECC(interval, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Attach(m)
+		// Activate both rows early, so the refs below resolve.
+		for i := sim.Cycles(0); i < 4; i++ {
+			m.AccessCoord(a, false, 1000+400*i)
+			m.AccessCoord(b, false, 1200+400*i)
+		}
+		return m, d
+	}
+	perRequest := func(m *dram.Module) (end sim.Cycles) {
+		now := start
+		for i := 0; i < k; i++ {
+			for _, c := range []dram.Coord{a, b} {
+				now += m.AccessCoord(c, false, now).Latency
+			}
+		}
+		return now
+	}
+
+	probe, _ := build(1 << 62)
+	perRequest(probe)
+	flips := probe.Flips()
+	if len(flips) != 2 || flips[0].Time/trefi != flips[1].Time/trefi || flips[0].Time%trefi < cfg.Timing.RFC {
+		t.Fatalf("want two flips in one stall-free refresh window, got %+v", flips)
+	}
+	interval := flips[0].Time + 1 // the first scrub falls between the flips
+
+	ref, dref := build(interval)
+	end := perRequest(ref)
+	dref.Scrub(end)
+	through, dthrough := build(interval)
+	var run []dram.RefRead
+	for _, c := range []dram.Coord{a, b} {
+		r, ok := through.Ref(through.Mapper().Unmap(c))
+		if !ok {
+			t.Fatalf("%+v: no ref", c)
+		}
+		run = append(run, dram.RefRead{Ref: r})
+	}
+	rr := through.ReadRefs(run, start, 0, k)
+	dthrough.Scrub(end)
+	if rr.Steady == 0 {
+		t.Fatal("the steady repeat applied no read")
+	}
+	if dref.Corrected() != 2 || dref.Uncorrectable() != 0 {
+		t.Fatalf("per-request reads: corrected %d, uncorrectable %d; want 2 and 0", dref.Corrected(), dref.Uncorrectable())
+	}
+	if dthrough.Corrected() != dref.Corrected() || dthrough.Uncorrectable() != dref.Uncorrectable() {
+		t.Errorf("reads through refs: corrected %d, uncorrectable %d; per-request reads: %d and %d",
+			dthrough.Corrected(), dthrough.Uncorrectable(), dref.Corrected(), dref.Uncorrectable())
+	}
+}

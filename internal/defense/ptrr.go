@@ -83,7 +83,7 @@ func (d *PTRR) Attach(m *dram.Module) {
 				m.RefreshRow(c.Bank, r, now)
 			}
 		}
-	})
+	}, nil)
 }
 
 var _ Defense = (*PTRR)(nil)

@@ -152,7 +152,10 @@ func (c DisturbConfig) threshold(bank, row int) (float64, bool) {
 		return 0, false
 	}
 	u := float64(h>>32) / float64(1<<32)
-	return c.MinFlipUnits * (1 + c.ThresholdSpread*u), true
+	// The explicit float64 conversions here and in cells round each product
+	// on its own, which forbids a fused multiply-add (the Go spec), so every
+	// architecture computes the same thresholds.
+	return c.MinFlipUnits * (1 + float64(c.ThresholdSpread*u)), true
 }
 
 // cells returns the procedural weak cells of (bank,row), weakest first.
@@ -168,7 +171,7 @@ func (c DisturbConfig) cells(bank, row, rowBits int) []weakCell {
 	out := make([]weakCell, n)
 	for k := range out {
 		out[k] = weakCell{
-			threshold: base * (1 + float64(k)*c.ExtraCellSpread),
+			threshold: base * (1 + float64(float64(k)*c.ExtraCellSpread)),
 			bit:       int(rowHash(c.Seed^0xb17f11b^uint64(k)*0x9e37, bank, row) % uint64(rowBits)),
 		}
 	}

@@ -461,7 +461,7 @@ func TestWeakestRowNearMinimum(t *testing.T) {
 func TestActivateHook(t *testing.T) {
 	m := mustModule(t, testConfig())
 	var got []Coord
-	m.OnActivate(func(c Coord, now sim.Cycles) { got = append(got, c) })
+	m.OnActivate(func(c Coord, now sim.Cycles) { got = append(got, c) }, nil)
 	a := m.Mapper().Unmap(Coord{Bank: 1, Row: 7, Col: 0})
 	m.Access(a, false, 100)
 	m.Access(a, false, 200) // row hit: no activation

@@ -72,14 +72,21 @@ type moduleFault struct {
 // schedule self-consistent across queries at different times.
 func (f *moduleFault) skipsSlot(k uint64) bool {
 	h := rowHash(f.skipKey, int(k>>32), int(uint32(k)))
-	if float64(h>>11)/(1<<53) >= f.cfg.RefreshSkipRate {
-		return false
-	}
+	return float64(h>>11)/(1<<53) < f.cfg.RefreshSkipRate
+}
+
+// note counts skipped REF slot k the first time it is evaluated. The noted
+// slots form a set, so the order of the notes does not matter.
+func (f *moduleFault) note(k uint64) {
 	if _, seen := f.skipped[k]; !seen {
 		f.skipped[k] = struct{}{}
 		f.stats.SkippedRefreshes++
 	}
-	return true
+}
+
+// transients reports whether f injects transient ECC errors.
+func (f *moduleFault) transients() bool {
+	return f != nil && (f.cfg.ECCCorrectableRate > 0 || f.cfg.ECCUncorrectableRate > 0)
 }
 
 // InjectFaults installs a degradation model on the module. Call at most
@@ -116,7 +123,10 @@ func (m *Module) TransientFlips() []BitFlip {
 }
 
 // injectTransient draws the per-activation transient-error events and
-// appends their flips to the transient list.
+// appends their flips to the transient list. It reads nothing but the
+// fault's own RNG, and only a scrub or TransientFlips reads the list, so
+// the steady repeat (ref.go) makes a stretch's draws after its disturbance,
+// in activation order.
 func (m *Module) injectTransient(c Coord, now sim.Cycles) {
 	f := m.fault
 	rowBits := m.cfg.Geometry.RowBytes * 8

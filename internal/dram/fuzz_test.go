@@ -83,24 +83,32 @@ func (a refState) equal(b refState) bool {
 		slices.Equal(a.victims, b.victims) && slices.Equal(a.present, b.present)
 }
 
+// hookSaw is what the scrubber-like hook of refModuleKinds saw when it
+// acted: the time, and how many flips and transient flips the module held.
+type hookSaw struct {
+	now              sim.Cycles
+	flips, transient int
+}
+
 // refModuleKinds are the modules FuzzRefMatchesAccess draws, each built
 // identically for both twins: plain; with an activation hook that
 // refreshes a neighbour at random, as PARA does; with an interceptor that
-// absorbs some activations, as ARMOR does; with far coupling; and with
-// injected refresh skips and transient ECC errors.
-var refModuleKinds = []func(t *testing.T, cfg Config) *Module{
-	func(t *testing.T, cfg Config) *Module { return mustModule(t, cfg) },
-	func(t *testing.T, cfg Config) *Module {
+// absorbs some activations, as ARMOR does; with far coupling; with injected
+// refresh skips and transient ECC errors; and with those faults and a hook
+// that acts as an ECC scrubber does, appending what it saw to *saw.
+var refModuleKinds = []func(t *testing.T, cfg Config, saw *[]hookSaw) *Module{
+	func(t *testing.T, cfg Config, _ *[]hookSaw) *Module { return mustModule(t, cfg) },
+	func(t *testing.T, cfg Config, _ *[]hookSaw) *Module {
 		m := mustModule(t, cfg)
 		rng := sim.NewRand(7)
 		m.OnActivate(func(c Coord, now sim.Cycles) {
 			if rng.Intn(4) == 0 {
 				m.RefreshRow(c.Bank, c.Row+1-2*rng.Intn(2), now)
 			}
-		})
+		}, nil)
 		return m
 	},
-	func(t *testing.T, cfg Config) *Module {
+	func(t *testing.T, cfg Config, _ *[]hookSaw) *Module {
 		m := mustModule(t, cfg)
 		n := 0
 		m.SetInterceptor(func(c Coord, now sim.Cycles) bool {
@@ -109,18 +117,38 @@ var refModuleKinds = []func(t *testing.T, cfg Config) *Module{
 		})
 		return m
 	},
-	func(t *testing.T, cfg Config) *Module {
+	func(t *testing.T, cfg Config, _ *[]hookSaw) *Module {
 		cfg.Disturb.FarCouplingRatio = 0.5
 		return mustModule(t, cfg)
 	},
-	func(t *testing.T, cfg Config) *Module {
-		m := mustModule(t, cfg)
-		fc := FaultConfig{RefreshSkipRate: 0.3, ECCCorrectableRate: 0.05, ECCUncorrectableRate: 0.02}
-		if err := m.InjectFaults(fc, sim.NewRand(11)); err != nil {
-			t.Fatal(err)
-		}
+	func(t *testing.T, cfg Config, _ *[]hookSaw) *Module { return faultyModule(t, cfg) },
+	func(t *testing.T, cfg Config, saw *[]hookSaw) *Module {
+		m := faultyModule(t, cfg)
+		// Idle in [from, from+interval), a window that ends inside refresh
+		// epochs; at any other activation it reads the flips, as a scrub
+		// does, and moves the window to the one holding now.
+		interval := m.trefi/3 + 1
+		var from sim.Cycles
+		m.OnActivate(func(c Coord, now sim.Cycles) {
+			if now >= from && now < from+interval {
+				return
+			}
+			*saw = append(*saw, hookSaw{now, len(m.Flips()), len(m.TransientFlips())})
+			from = now - now%interval
+		}, func() (sim.Cycles, sim.Cycles) { return from, from + interval })
 		return m
 	},
+}
+
+// faultyModule is a module with injected refresh skips and transient ECC
+// errors.
+func faultyModule(t *testing.T, cfg Config) *Module {
+	m := mustModule(t, cfg)
+	fc := FaultConfig{RefreshSkipRate: 0.3, ECCCorrectableRate: 0.05, ECCUncorrectableRate: 0.02}
+	if err := m.InjectFaults(fc, sim.NewRand(11)); err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // FuzzRefMatchesAccess drives twin modules, drawn from refModuleKinds, with
@@ -133,8 +161,9 @@ var refModuleKinds = []func(t *testing.T, cfg Config) *Module{
 // must change nothing, and ReadRefs must leave the module (refState:
 // stats, banks, victim records bit for bit, flips, transient flips, memos)
 // exactly as the reference's AccessCoord calls do, with the same summed and
-// last latencies, whether it reads live or repeats a steady run. A run
-// whose refs do not resolve goes through AccessCoord on both.
+// last latencies, whether it reads live or repeats a steady run, and the
+// scrubber-like hook must act at the same times and see the same flips on
+// both. A run whose refs do not resolve goes through AccessCoord on both.
 func FuzzRefMatchesAccess(f *testing.F) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		rng := sim.NewRand(seed)
@@ -172,8 +201,9 @@ func FuzzRefMatchesAccess(f *testing.F) {
 		}
 		build := refModuleKinds[next()%len(refModuleKinds)]
 		var ms [2]*Module // the reference, and the twin reading through refs
+		var saw [2][]hookSaw
 		for i := range ms {
-			ms[i] = build(t, cfg)
+			ms[i] = build(t, cfg, &saw[i])
 			for _, bank := range banks {
 				for _, row := range rows {
 					if err := ms[i].PlantWeakRow(bank, row, float64(2+(bank+row)%5*3)); err != nil {
@@ -256,6 +286,9 @@ func FuzzRefMatchesAccess(f *testing.F) {
 			}
 			if a, b := state(0, checked, checkedTransient), state(1, checked, checkedTransient); !a.equal(b) {
 				t.Fatalf("step %d: the modules differ\nreference:    %+v\nthrough refs: %+v", step, a, b)
+			}
+			if !slices.Equal(saw[0], saw[1]) {
+				t.Fatalf("step %d: the hooks saw different things\nreference:    %+v\nthrough refs: %+v", step, saw[0], saw[1])
 			}
 			checked, checkedTransient = len(ms[0].flips), len(ms[0].transient)
 		}

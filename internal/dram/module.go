@@ -75,6 +75,18 @@ type AccessResult struct {
 // controller would.
 type ActivateHook func(c Coord, now sim.Cycles)
 
+// IdleWindow reports the half-open window [from, to) of simulated time in
+// which an activation hook does nothing: an activation inside it changes
+// neither the hook's state nor anything the hook acts on.
+type IdleWindow func() (from, to sim.Cycles)
+
+// hook is one registered activation hook and its idle window, nil for a
+// hook that may act on any activation.
+type hook struct {
+	act  ActivateHook
+	idle IdleWindow
+}
+
 // Module is a simulated DRAM module.
 type Module struct {
 	cfg    Config
@@ -89,7 +101,7 @@ type Module struct {
 	flips       []BitFlip
 	transient   []BitFlip    // fault-injected transient errors (see TransientFlips)
 	fault       *moduleFault // nil unless InjectFaults installed one
-	hooks       []ActivateHook
+	hooks       []hook
 	interceptor func(c Coord, now sim.Cycles) bool
 
 	rowsPerRefCmd uint64 // rows covered by one REF command (lastScheduledRefresh)
@@ -242,7 +254,17 @@ func (m *Module) FlipCount() int { return len(m.flips) }
 // hammer loop at once, hooks included, because nothing a hook does can stop
 // the per-request path mid-iteration (memsys/skip.go). Every hook in
 // internal/defense complies.
-func (m *Module) OnActivate(h ActivateHook) { m.hooks = append(m.hooks, h) }
+//
+// idle, when not nil, declares when the hook does nothing. The module asks
+// for the window afresh before each stretch of the steady repeat (ref.go)
+// and makes the stretch's activations without calling the hook. So the
+// window may move only when the hook acts, or when its owner changes the
+// hook's state from outside the module, as ECC.Scrub does. A hook with a
+// nil idle may act on any activation, and keeps every read through
+// ReadRefs live.
+func (m *Module) OnActivate(h ActivateHook, idle IdleWindow) {
+	m.hooks = append(m.hooks, hook{act: h, idle: idle})
+}
 
 // SetInterceptor installs a pre-activation filter: when it returns true the
 // access is served without opening the DRAM row (the mechanism behind
@@ -373,7 +395,7 @@ func (m *Module) VictimUnits(bank, row int, now sim.Cycles) float64 {
 	if v == nil {
 		return 0
 	}
-	if r := m.lastScheduledRefresh(row, now); r > v.lastReset {
+	if r := m.lastScheduledRefresh(row, now, true); r > v.lastReset {
 		return 0
 	}
 	return v.units
@@ -382,8 +404,10 @@ func (m *Module) VictimUnits(bank, row int, now sim.Cycles) float64 {
 // lastScheduledRefresh returns the time of the most recent periodic-refresh
 // sweep of the given row at or before now (0 if it has not been refreshed
 // since the start of the simulation). The sweep is evaluated lazily so no
-// per-tREFI events are needed.
-func (m *Module) lastScheduledRefresh(row int, now sim.Cycles) sim.Cycles {
+// per-tREFI events are needed. It depends on now only through now's refresh
+// epoch. With note set, the walk back over injected refresh skips notes
+// each skipped slot it passes in the fault stats.
+func (m *Module) lastScheduledRefresh(row int, now sim.Cycles, note bool) sim.Cycles {
 	cmds := uint64(m.cfg.Timing.RefreshCommands)
 	var bin uint64
 	if m.binShiftOK {
@@ -406,6 +430,9 @@ func (m *Module) lastScheduledRefresh(row int, now sim.Cycles) sim.Cycles {
 		// charge (and disturbance accumulator) untouched, so the effective
 		// last refresh is the most recent non-skipped slot.
 		for i := 0; i < maxSkipWalk && f.skipsSlot(kLast); i++ {
+			if note {
+				f.note(kLast)
+			}
 			if kLast < cmds {
 				return 0 // the row's very first sweep was skipped
 			}
@@ -612,12 +639,12 @@ func (m *Module) activateTail(c Coord, now sim.Cycles) {
 		m.disturb(c.Bank, c.Row+2, -1, far, now)
 	}
 
-	if f := m.fault; f != nil && (f.cfg.ECCCorrectableRate > 0 || f.cfg.ECCUncorrectableRate > 0) {
+	if m.fault.transients() {
 		m.injectTransient(c, now)
 	}
 
 	for _, h := range m.hooks {
-		h(c, now)
+		h.act(c, now)
 	}
 }
 
@@ -680,7 +707,7 @@ func (m *Module) victimAt(bank, row int) *victim {
 // reaches.
 func (m *Module) deposit(v *victim, bank, row int, side int8, scale float64, now sim.Cycles) {
 	// Lazy periodic-refresh reset.
-	if r := m.lastScheduledRefresh(row, now); r > v.lastReset {
+	if r := m.lastScheduledRefresh(row, now, true); r > v.lastReset {
 		v.units = 0
 		v.lastReset = r
 		v.lastSide = 0

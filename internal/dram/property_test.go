@@ -77,7 +77,7 @@ func TestRefreshSweepMonotonic(t *testing.T) {
 	for _, row := range []int{0, 1, 100, cfg.Geometry.RowsPerBank - 1} {
 		var prev sim.Cycles
 		for now := sim.Cycles(0); now < cfg.Timing.RefreshPeriod*3; now += cfg.Timing.TREFI() / 3 {
-			r := m.lastScheduledRefresh(row, now)
+			r := m.lastScheduledRefresh(row, now, false)
 			if r > now {
 				t.Fatalf("row %d: refresh at %d in the future of %d", row, r, now)
 			}
@@ -105,8 +105,8 @@ func TestEveryRowRefreshedOncePerPeriod(t *testing.T) {
 	// whole cycles, so it may undershoot RefreshPeriod by < one command).
 	period := cfg.Timing.TREFI() * sim.Cycles(cfg.Timing.RefreshCommands)
 	for row := 0; row < cfg.Geometry.RowsPerBank; row += 97 {
-		r1 := m.lastScheduledRefresh(row, period*2)
-		r2 := m.lastScheduledRefresh(row, period*3)
+		r1 := m.lastScheduledRefresh(row, period*2, false)
+		r2 := m.lastScheduledRefresh(row, period*3, false)
 		if r2-r1 != period {
 			t.Fatalf("row %d: refresh advanced by %d, want %d", row, r2-r1, period)
 		}

@@ -19,22 +19,33 @@ import "repro/internal/sim"
 //     activation hooks act exactly as they do for a request.
 //   - The steady repeat (steady) applies a stretch of reads whose outcome
 //     is provably the same in every pass over the run. The module has no
-//     hook, interceptor, injected fault or far coupling; every bank the
-//     run reads holds the row the run's cyclically last read of it opens,
-//     and was last accessed in the memoised refresh epoch; every read of
-//     the stretch lies inside that epoch and inside its rank's memoised
-//     stall-free window; and every record the run disturbs has its
-//     threshold cached and no refresh sweep pending (lastScheduledRefresh
-//     <= lastReset). Then no read stalls or finds its row closed by a REF,
-//     and each read finds its bank as the run's cyclically previous read
-//     of it left it, so its class and latency are the same in every pass,
-//     wherever the stretch starts or ends. The lazy refresh check in
-//     deposit cannot fire: lastScheduledRefresh depends on the time only
-//     through its refresh epoch, and lastReset only grows. The tight loop
-//     makes, per activation, the self reset and the two deposits in
-//     access's order through deposit's own code after its lazy check
-//     (victim.add, flip), then adds the counters once and sets each bank's
-//     open row and last access.
+//     interceptor, far coupling, command engine or contention, and every
+//     activation hook declared an idle window; every bank the run reads
+//     holds the row the run's cyclically last read of it opens, and was
+//     last accessed in the memoised refresh epoch; every read of the
+//     stretch lies inside that epoch, inside every hook's idle window (as
+//     the hook reports it at the stretch's start) and inside its rank's
+//     memoised stall-free window; and every record the run disturbs has
+//     its threshold cached and no refresh sweep pending
+//     (lastScheduledRefresh <= lastReset). Then no read stalls or finds its
+//     row closed by a REF, no hook acts, and each read finds its bank as
+//     the run's cyclically previous read of it left it, so its class and
+//     latency are the same in every pass, wherever the stretch starts or
+//     ends. The lazy refresh check in deposit cannot fire:
+//     lastScheduledRefresh depends on the time only through its refresh
+//     epoch, injected refresh skips included, and lastReset only grows.
+//     The tight loop makes, per activation, the self reset and the two
+//     deposits in access's order through deposit's own code after its lazy
+//     check (victim.add, flip), then adds the counters once and sets each
+//     bank's open row and last access. The injected faults' part of the
+//     per-activation work follows the loop (faultStretch). With refresh
+//     skips, it notes the skipped slots that the deposits' refresh walks
+//     pass: a walk is a function of the row and the epoch, and the notes
+//     form a set, so walking the neighbours of each activating read applied
+//     once suffices. With transient errors, it makes each activation's
+//     draws, in activation order and at its time: they read only the
+//     fault's own RNG, and nothing reads the transient list before the
+//     stretch ends, since the hooks are idle.
 //
 // Anything the steady repeat does not cover takes the live read, one read
 // at a time, after which the steady repeat is tried again.
@@ -104,8 +115,11 @@ func (m *Module) ReadBound() (bound sim.Cycles, ok bool) {
 // leave it.
 func (m *Module) ReadRefs(run []RefRead, start, tail sim.Cycles, k int) RefRun {
 	var out RefRun
-	plain := len(run) > 0 && len(m.hooks) == 0 && m.interceptor == nil && m.fault == nil &&
-		m.cfg.Disturb.FarCouplingRatio == 0 && m.engine == nil && !m.cfg.Contention
+	plain := len(run) > 0 && m.interceptor == nil && m.cfg.Disturb.FarCouplingRatio == 0 &&
+		m.engine == nil && !m.cfg.Contention
+	for _, h := range m.hooks {
+		plain = plain && h.idle != nil
+	}
 	if plain {
 		m.steadyPlan(run)
 	}
@@ -189,6 +203,13 @@ func (m *Module) steadyPlan(run []RefRead) {
 func (m *Module) steady(run []RefRead, i int, t *sim.Cycles, tail sim.Cycles, left int, out *RefRun) int {
 	n := len(run)
 	sr := m.steadyBuf[:n]
+	// Every read lies in the memoised epoch, in every hook's idle window
+	// and in its rank's stall-free window.
+	lo, hi := m.epochStart, m.epochEnd
+	for _, h := range m.hooks {
+		from, to := h.idle()
+		lo, hi = max(lo, from), min(hi, to)
+	}
 	var off sim.Cycles
 	for x, p := 0, i; x < n; x++ {
 		rd := &run[p]
@@ -197,8 +218,8 @@ func (m *Module) steady(run []RefRead, i int, t *sim.Cycles, tail sim.Cycles, le
 		}
 		off += rd.Gap
 		when := *t + off
-		lo, hi := max(m.epochStart, m.stallFreeFrom[rd.Ref.rank]), min(m.epochEnd, m.stallFreeTo[rd.Ref.rank])
-		if when < lo || when >= hi {
+		from, to := max(lo, m.stallFreeFrom[rd.Ref.rank]), min(hi, m.stallFreeTo[rd.Ref.rank])
+		if when < from || when >= to {
 			return 0
 		}
 		// The bank must hold the row of its last read in this order.
@@ -208,7 +229,7 @@ func (m *Module) steady(run []RefRead, i int, t *sim.Cycles, tail sim.Cycles, le
 				return 0
 			}
 		}
-		sr[p].off, sr[p].room = off, hi-1-when
+		sr[p].off, sr[p].room = off, to-1-when
 		off += sr[p].lat
 		if p++; p == n {
 			p = 0
@@ -260,6 +281,9 @@ func (m *Module) steady(run []RefRead, i int, t *sim.Cycles, tail sim.Cycles, le
 			base += period
 		}
 	}
+	if m.fault != nil {
+		m.faultStretch(sr, i, count, *t, period)
+	}
 
 	// The counters, each read's count times of application, and the bank
 	// state the last pass's reads leave.
@@ -301,8 +325,52 @@ func (m *Module) steady(run []RefRead, i int, t *sim.Cycles, tail sim.Cycles, le
 	return count
 }
 
+// faultStretch does the injected faults' part of the count reads that
+// steady applied from sr[i] on, start being the time their gaps count from
+// and period one pass over the run (see the top of this file). It notes the
+// skipped REF slots that the deposits' refresh walks pass: for each
+// activating read applied, those of its neighbours in the stretch's one
+// epoch. Then it makes the transient draws, in activation order, each at
+// its activation's time. It is a function of its own so that steady's
+// disturbance loop keeps its values in registers.
+func (m *Module) faultStretch(sr []steadyRead, i, count int, start, period sim.Cycles) {
+	n := len(sr)
+	if m.fault.cfg.RefreshSkipRate > 0 {
+		t0 := start + sr[i].off
+		for x, p := 0, i; x < min(count, n); x++ {
+			if r := sr[p].ref; sr[p].activate {
+				if r.below != nil {
+					m.lastScheduledRefresh(r.c.Row-1, t0, true)
+				}
+				if r.above != nil {
+					m.lastScheduledRefresh(r.c.Row+1, t0, true)
+				}
+			}
+			if p++; p == n {
+				p = 0
+			}
+		}
+	}
+	if m.fault.transients() {
+		base, p, x := start, i, 0
+		for j := 0; j < count; j++ {
+			if s := &sr[p]; s.activate {
+				m.injectTransient(s.ref.c, base+s.off)
+			}
+			if p++; p == n {
+				p = 0
+			}
+			if x++; x == n {
+				x = 0
+				base += period
+			}
+		}
+	}
+}
+
 // settled reports whether the record v of row (nil outside the bank) has
-// its threshold cached and no refresh sweep pending at t.
+// its threshold cached and no refresh sweep pending at t. It notes no
+// skipped REF slot: faultStretch notes those of the reads steady applies.
 func (m *Module) settled(v *victim, row int, t sim.Cycles) bool {
-	return v == nil || v.thr != 0 && m.lastScheduledRefresh(row, t) <= v.lastReset
+	return v == nil || v.thr != 0 && m.lastScheduledRefresh(row, t, false) <= v.lastReset
 }

@@ -139,7 +139,8 @@ func (b *Bars) String() string {
 		if frac > 1 {
 			frac = 1
 		}
-		n := int(frac*float64(b.Width) + 0.5)
+		// float64(...) rounds the product on its own: no fused multiply-add.
+		n := int(float64(frac*float64(b.Width)) + 0.5)
 		fmt.Fprintf(&sb, "%-*s |%s%s %.4f\n", labelW, e.label,
 			strings.Repeat("#", n), strings.Repeat(" ", b.Width-n), e.value)
 	}

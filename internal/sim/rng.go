@@ -1,7 +1,5 @@
 package sim
 
-import "math"
-
 // Rand is a small, fast, deterministic pseudo-random generator
 // (xoshiro256** seeded through splitmix64). Every stochastic component of
 // the simulator owns its own Rand so that adding or removing one component
@@ -137,18 +135,4 @@ func (r *Rand) Geometric(p float64) uint64 {
 		}
 	}
 	return n
-}
-
-// NormFloat64 returns a normally distributed value with mean 0 and stddev 1,
-// using the polar (Marsaglia) method.
-func (r *Rand) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
-		}
-		return u * math.Sqrt(-2*math.Log(s)/s)
-	}
 }

@@ -204,25 +204,6 @@ func TestRandSplitStreamsUncorrelated(t *testing.T) {
 	}
 }
 
-func TestRandNormFloat64(t *testing.T) {
-	r := NewRand(17)
-	var sum, sq float64
-	const n = 50000
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sq += v * v
-	}
-	mean := sum / n
-	std := math.Sqrt(sq/n - mean*mean)
-	if math.Abs(mean) > 0.03 {
-		t.Errorf("normal mean %g", mean)
-	}
-	if math.Abs(std-1) > 0.03 {
-		t.Errorf("normal stddev %g", std)
-	}
-}
-
 func TestMeanStdDev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if m := Mean(xs); m != 5 {
