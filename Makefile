@@ -3,7 +3,7 @@ GO ?= go
 # Packages with a BenchmarkHotPath microbenchmark of the per-access pipeline.
 BENCH_PKGS := ./internal/cache ./internal/pmu ./internal/dram ./internal/machine
 
-.PHONY: all build test race fuzz-smoke fault-smoke resume-smoke serve-smoke worker-smoke vet lint fma-check fmt check bench bench-guard
+.PHONY: all build test race fuzz-smoke fault-smoke resume-smoke serve-smoke worker-smoke vet lint fma-check fmt check bench bench-guard loc
 
 all: build test vet lint
 
@@ -156,5 +156,12 @@ bench:
 # Usage: make bench-guard BASE=origin/main (about 4 minutes).
 bench-guard:
 	bash .github/bench-guard.sh $(BASE)
+
+# Lines of Go, non-test and test, over the tracked files outside perfbench/
+# and testdata directories: the code size every change reports.
+loc:
+	@files="$$(git ls-files '*.go' | grep -v -e '^perfbench/' -e '/testdata/')"; \
+	echo "non-test Go lines: $$(echo "$$files" | grep -v '_test\.go$$' | xargs cat | wc -l)"; \
+	echo "test Go lines:     $$(echo "$$files" | grep '_test\.go$$' | xargs cat | wc -l)"
 
 check: fmt build vet lint test race

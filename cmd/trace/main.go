@@ -114,13 +114,6 @@ func run(file string, loops uint64, useANVIL, detailed bool, maxMS uint64) error
 	return nil
 }
 
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // emitDemo writes a small trace that thrashes one DRAM row pair.
 func emitDemo() error {
 	var recs []workload.Record

@@ -19,7 +19,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/dram"
 	"repro/internal/machine"
-	"repro/internal/vm"
 )
 
 // CacheSpec is the attacker's model of the last-level cache: enough to
@@ -134,29 +133,6 @@ func mapBuffer(p *machine.Proc, baseVA, bytes uint64, contiguous bool) (translat
 			return nil, err
 		}
 	}
-	pm := p.Pagemap()
-	as := p.AS
-	// Cache pagemap lookups per page: the real attack reads each pagemap
-	// entry once. The buffer scans translate every line of a page in turn,
-	// so a one-entry memo of the last page answers most of them before the
-	// map does. lastPage starts unaligned, so it never matches.
-	pageCache := make(map[uint64]uint64)
-	lastPage, lastBase := uint64(1), uint64(0)
-	return func(va uint64) (uint64, error) {
-		page := va &^ (vm.PageSize - 1)
-		if page == lastPage {
-			return lastBase + va - page, nil
-		}
-		base, ok := pageCache[page]
-		if !ok {
-			var err error
-			base, err = pm.Query(as, page)
-			if err != nil {
-				return 0, err
-			}
-			pageCache[page] = base
-		}
-		lastPage, lastBase = page, base
-		return base + va - page, nil
-	}, nil
+	pm, as := p.Pagemap(), p.AS
+	return func(va uint64) (uint64, error) { return pm.Query(as, va) }, nil
 }

@@ -40,9 +40,6 @@ type Options struct {
 	// the fastest attack; large values model the "spread out fewer
 	// activations across a refresh period" evasion of §4.5.
 	ExtraDelay sim.Cycles
-	// MaxIterations stops the attack after this many hammer iterations
-	// (0 = run forever).
-	MaxIterations uint64
 }
 
 func (o Options) validate() error {
@@ -104,45 +101,22 @@ func (h *hammerCore) Iterations() uint64 {
 	return h.execOps / uint64(len(h.ops))
 }
 
-// done reports whether the iteration budget is exhausted.
-func (h *hammerCore) done() bool {
-	return h.opts.MaxIterations > 0 && h.Iterations() >= h.opts.MaxIterations
-}
-
+// Next implements machine.Program. A hammer loop never ends.
 func (h *hammerCore) Next() machine.Op {
-	if h.done() {
-		return machine.Op{Kind: machine.OpDone}
-	}
 	op := h.ops[h.execOps%uint64(len(h.ops))]
 	h.execOps++
 	return op
 }
 
-// doneView is the terminal batch view shared by all hammer programs.
-var doneView = [1]machine.Op{{Kind: machine.OpDone}}
-
 // NextRun implements machine.BatchProgram: a contiguous window of the
-// unrolled iteration ring starting at the current phase, capped by the
-// iteration budget. Nothing is committed until Advance.
+// unrolled iteration ring starting at the current phase. Nothing is
+// committed until Advance.
 func (h *hammerCore) NextRun(max int) []machine.Op {
-	if h.done() {
-		return doneView[:]
-	}
 	ringLen := uint64(len(h.unrolled))
 	start := h.execOps % ringLen
 	end := start + uint64(max)
 	if end > ringLen {
 		end = ringLen
-	}
-	if h.opts.MaxIterations > 0 {
-		opsLen := uint64(len(h.ops))
-		// Only price the budget when it can bite within one ring: the
-		// multiplication below then cannot overflow.
-		if itersLeft := h.opts.MaxIterations - h.execOps/opsLen; itersLeft <= ringLen/opsLen {
-			if rem := itersLeft*opsLen - h.execOps%opsLen; start+rem < end {
-				end = start + rem
-			}
-		}
 	}
 	return h.unrolled[start:end]
 }

@@ -54,11 +54,7 @@ type Result struct {
 type HierarchyConfig struct {
 	Levels       []LevelConfig // ordered nearest (L1) to farthest (LLC)
 	FlushLatency sim.Cycles    // CLFLUSH cost as seen by the executing core
-	// NextLinePrefetch fills pa+64 into the LLC alongside every demand
-	// miss, modelling the simplest hardware stream prefetcher. Off by
-	// default (the paper's overhead calibration assumes no prefetching).
-	NextLinePrefetch bool
-	Seed             uint64
+	Seed         uint64
 }
 
 // SandyBridgeConfig models the i5-2540M used throughout the paper:
@@ -97,7 +93,7 @@ type Hierarchy struct {
 	// CLFLUSH of the same line — the hammer idiom this simulator spends its
 	// life in — skips the per-level tag scans and goes straight to the miss
 	// path. Two slots cover the double-sided pattern; a slot is consumed by
-	// the access that uses it and dropped when a prefetch refills the line.
+	// the access that uses it.
 	flushedTag [2]uint64 // ^0 when empty
 	flushedPos int
 
@@ -107,13 +103,12 @@ type Hierarchy struct {
 
 // HierarchyStats aggregates whole-hierarchy activity.
 type HierarchyStats struct {
-	Loads      uint64
-	Stores     uint64
-	LLCMisses  uint64
-	MemReads   uint64
-	MemWrites  uint64
-	Flushes    uint64
-	Prefetches uint64
+	Loads     uint64
+	Stores    uint64
+	LLCMisses uint64
+	MemReads  uint64
+	MemWrites uint64
+	Flushes   uint64
 }
 
 // NewHierarchy builds the hierarchy over the given memory.
@@ -224,47 +219,7 @@ func (h *Hierarchy) missEverywhere(pa uint64, write bool, now sim.Cycles, hinted
 	h.stats.MemReads++
 	res := Result{Latency: llcLat + memLat, Source: SrcDRAM, LLCMiss: true}
 	res.Writebacks += h.fill(len(h.levels), pa, write, now, hinted)
-	if h.cfg.NextLinePrefetch {
-		res.Writebacks += h.prefetch(pa+LineSize, now)
-	}
 	return res
-}
-
-// prefetch pulls a line into the LLC in the background (no latency charged
-// to the triggering access). Evictions are handled as for demand fills.
-func (h *Hierarchy) prefetch(pa uint64, now sim.Cycles) int {
-	pa = lineAlign(pa)
-	llc := h.llc()
-	if llc.Lookup(pa) {
-		return 0
-	}
-	if t := pa >> lineShift; t == h.flushedTag[0] || t == h.flushedTag[1] {
-		if t == h.flushedTag[0] {
-			h.flushedTag[0] = ^uint64(0)
-		}
-		if t == h.flushedTag[1] {
-			h.flushedTag[1] = ^uint64(0)
-		}
-	}
-	h.stats.Prefetches++
-	h.mem.Access(pa, false, now)
-	h.stats.MemReads++
-	ev, evicted := llc.Fill(pa, false)
-	if !evicted {
-		return 0
-	}
-	dirty := ev.Dirty
-	for j := 0; j < len(h.levels)-1; j++ {
-		if present, d := h.levels[j].Invalidate(ev.PA); present && d {
-			dirty = true
-		}
-	}
-	if dirty {
-		h.mem.Access(ev.PA, true, now)
-		h.stats.MemWrites++
-		return 1
-	}
-	return 0
 }
 
 // fillAbove inserts pa into every level above `from` (exclusive), handling

@@ -344,62 +344,6 @@ func TestResidentWays(t *testing.T) {
 	}
 }
 
-func TestNextLinePrefetchHelpsStreams(t *testing.T) {
-	run := func(prefetch bool) (uint64, uint64) {
-		mem := &memStub{latency: 150}
-		cfg := SandyBridgeConfig()
-		cfg.NextLinePrefetch = prefetch
-		h, err := NewHierarchy(cfg, mem)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := uint64(0); i < 4096; i++ {
-			h.Access(i*LineSize, false, sim.Cycles(i*100))
-		}
-		return h.Stats().LLCMisses, h.Stats().Prefetches
-	}
-	missOff, pfOff := run(false)
-	missOn, pfOn := run(true)
-	if pfOff != 0 {
-		t.Error("prefetches recorded while disabled")
-	}
-	if pfOn == 0 {
-		t.Fatal("no prefetches recorded")
-	}
-	if missOn*2 > missOff {
-		t.Errorf("prefetcher barely helped a pure stream: %d vs %d misses", missOn, missOff)
-	}
-}
-
-func TestPrefetchMaintainsInclusion(t *testing.T) {
-	mem := &memStub{latency: 150}
-	cfg := SandyBridgeConfig()
-	cfg.NextLinePrefetch = true
-	h, err := NewHierarchy(cfg, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := sim.NewRand(31)
-	var lines []uint64
-	for i := 0; i < 20000; i++ {
-		pa := rng.Uint64n(1<<22) &^ (LineSize - 1)
-		h.Access(pa, rng.Bool(0.2), sim.Cycles(i*20))
-		lines = append(lines, pa)
-		if len(lines) > 32 {
-			lines = lines[1:]
-		}
-		if i%512 == 0 {
-			for _, l := range lines {
-				for j := 0; j < 2; j++ {
-					if h.Level(j).Lookup(l) && !h.LLC().Lookup(l) {
-						t.Fatalf("inclusion violated for %#x after prefetch evictions", l)
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestSandyBridgeConfigAndSourceStrings(t *testing.T) {
 	h, err := NewHierarchy(SandyBridgeConfig(), &memStub{latency: 100})
 	if err != nil {

@@ -48,7 +48,7 @@ import (
 // machine.PeriodicProgram's iteration. Per-op stepping never tags, so
 // StepBatch=1 stays the unreplayed reference.
 // Replay is off for policies kept behind the Policy interface (random,
-// SRRIP, ...), for TrueLRU wider than 8 ways and with NextLinePrefetch.
+// SRRIP, ...) and for TrueLRU wider than 8 ways.
 
 const (
 	maxCycle     = 8            // iterations a replayed cycle may span
@@ -75,8 +75,8 @@ const (
 )
 
 // replayOp is one recorded request of a periodic stream and its cache-side
-// outcome. A request writes back at most one line without the prefetcher,
-// so one writeback slot records it exactly.
+// outcome. A request writes back at most one line, so one writeback slot
+// records it exactly.
 type replayOp struct {
 	pa    uint64     // line address, checked against the request on replay
 	wbPA  uint64     // line written back to memory, when flags&opWriteback
@@ -128,9 +128,6 @@ type replay struct {
 // the counters a request can move.
 func (h *Hierarchy) initReplay() {
 	r := &h.rp
-	if h.cfg.NextLinePrefetch {
-		return
-	}
 	for _, l := range h.levels {
 		if l.lruWord == nil && l.plruBits == nil || l.invMask == nil {
 			return
@@ -151,47 +148,23 @@ func (h *Hierarchy) initReplay() {
 // 1-based position in the program's iteration, so pos 1 opens an
 // iteration. memsys.AccessRun is its only caller.
 func (h *Hierarchy) AccessAt(pa uint64, write bool, pos uint32, now sim.Cycles) Result {
-	r := &h.rp
-	if !r.on {
+	if !h.rp.on {
 		return h.Access(pa, write, now)
 	}
-	pa = lineAlign(pa)
 	kind := uint8(0)
 	if write {
 		kind = opWrite
 	}
-	if op := r.quick(pa, kind); op != nil {
-		return Result{Latency: op.lat, Source: DataSource(op.src)}
-	}
-	return h.step(pa, kind, pos, now)
+	return h.step(lineAlign(pa), kind, pos, now)
 }
 
 // FlushAt is Flush for a request of a periodic program; see AccessAt.
 func (h *Hierarchy) FlushAt(pa uint64, pos uint32, now sim.Cycles) (sim.Cycles, int) {
-	r := &h.rp
-	if !r.on {
+	if !h.rp.on {
 		return h.Flush(pa, now)
 	}
-	pa = lineAlign(pa)
-	if op := r.quick(pa, opFlush); op != nil {
-		return op.lat, 0
-	}
-	res := h.step(pa, opFlush, pos, now)
+	res := h.step(lineAlign(pa), opFlush, pos, now)
 	return res.Latency, res.Writebacks
-}
-
-// quick serves the common replayed request straight from its record: one
-// that neither misses the LLC nor writes back and does not close the cycle,
-// for which apply would reach no memory and move no counter. It returns nil
-// for any other request, which step then serves.
-func (r *replay) quick(pa uint64, kind uint8) *replayOp {
-	if r.mode == rpReplaying {
-		if op := &r.cycle[r.cur]; op.flags == kind && op.pa == pa && r.cur+1 < len(r.cycle) {
-			r.cur++
-			return op
-		}
-	}
-	return nil
 }
 
 // step serves one tagged request: replayed when it matches the cycle,

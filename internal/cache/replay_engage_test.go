@@ -53,8 +53,8 @@ func TestReplayEngages(t *testing.T) {
 }
 
 // TestReplayStaysOff pins where replay must not run: per-op stepping (the
-// reference), a random LLC policy, the next-line prefetcher, and a 4-core
-// Table 3 point whose co-runners share the caches.
+// reference), a random LLC policy, and a 4-core Table 3 point whose
+// co-runners share the caches.
 func TestReplayStaysOff(t *testing.T) {
 	const d = time.Millisecond
 	attack := &scenario.Attack{Kind: scenario.ClflushFree}
@@ -66,9 +66,6 @@ func TestReplayStaysOff(t *testing.T) {
 		"StepBatch=1": {Cores: 1, Attack: attack, StepBatch: 1},
 		"random LLC": {Cores: 1, Attack: attack, Mutate: func(c *machine.Config) {
 			c.Memory.Cache.Levels[len(c.Memory.Cache.Levels)-1].Policy = cache.Random
-		}},
-		"NextLinePrefetch": {Cores: 1, Attack: attack, Mutate: func(c *machine.Config) {
-			c.Memory.Cache.NextLinePrefetch = true
 		}},
 		"table3 heavy": {Cores: 4, Attack: attack, Defense: scenario.ANVILBaseline, Workloads: heavy},
 	}

@@ -152,6 +152,109 @@ func TestECCFailsOnTransientDoubles(t *testing.T) {
 	}
 }
 
+// The ECC window tests read two rows of one bank in turn, around a victim
+// row with two weak cells in one word, on a one-rank module.
+var (
+	eccRowA, eccRowB = dram.Coord{Row: 100}, dram.Coord{Row: 102}
+	eccVictim        = 101
+)
+
+func eccWindowConfig() dram.Config {
+	cfg := dram.DefaultConfig(sim.DefaultFreq)
+	cfg.Geometry = dram.Geometry{Ranks: 1, BanksPerRank: 8, RowsPerBank: 4096, RowBytes: 8192}
+	return cfg
+}
+
+// eccWindowModule builds the module with the victim's two weak cells, which
+// flip a few activations apart, and a scrubber of the given interval, and
+// activates both rows early, so refs to them resolve.
+func eccWindowModule(t *testing.T, interval sim.Cycles) (*dram.Module, *ECC) {
+	t.Helper()
+	m, err := dram.New(eccWindowConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		units float64
+		bit   int
+	}{{300, 5}, {305, 37}} {
+		if err := m.PlantWeakCell(0, eccVictim, c.units, c.bit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := NewECC(interval, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Attach(m)
+	for i := sim.Cycles(0); i < 4; i++ {
+		m.AccessCoord(eccRowA, false, 1000+400*i)
+		m.AccessCoord(eccRowB, false, 1200+400*i)
+	}
+	return m, d
+}
+
+// eccReadPairs reads row a then row b k times per request, from now, and
+// returns the time the last read completes.
+func eccReadPairs(m *dram.Module, now sim.Cycles, k int) sim.Cycles {
+	for i := 0; i < k; i++ {
+		for _, c := range []dram.Coord{eccRowA, eccRowB} {
+			now += m.AccessCoord(c, false, now).Latency
+		}
+	}
+	return now
+}
+
+// eccPairRefs is the run row a, row b through m's refs.
+func eccPairRefs(t *testing.T, m *dram.Module) []dram.RefRead {
+	t.Helper()
+	var run []dram.RefRead
+	for _, c := range []dram.Coord{eccRowA, eccRowB} {
+		r, ok := m.Ref(m.Mapper().Unmap(c))
+		if !ok {
+			t.Fatalf("%+v: no ref", c)
+		}
+		run = append(run, dram.RefRead{Ref: r})
+	}
+	return run
+}
+
+// eccWindowStart is when the ECC window tests start reading: after the
+// victim's sweep (epoch 101).
+func eccWindowStart() sim.Cycles {
+	cfg := eccWindowConfig()
+	return 200*cfg.Timing.TREFI() + cfg.Timing.RFC + 20000
+}
+
+// eccFlips reads the pairs k times from eccWindowStart under a scrubber
+// that never scrubs and returns the victim's two flips, failing unless they
+// fall in one stall-free refresh window.
+func eccFlips(t *testing.T, k int) []dram.BitFlip {
+	t.Helper()
+	timing := eccWindowConfig().Timing
+	trefi := timing.TREFI()
+	probe, _ := eccWindowModule(t, 1<<62)
+	eccReadPairs(probe, eccWindowStart(), k)
+	flips := probe.Flips()
+	if len(flips) != 2 || flips[0].Time/trefi != flips[1].Time/trefi || flips[0].Time%trefi < timing.RFC {
+		t.Fatalf("want two flips in one stall-free refresh window, got %+v", flips)
+	}
+	return flips
+}
+
+// checkScrubs fails unless the per-request twin's scrubber corrected both
+// flips one at a time and the twin read through refs classified the same.
+func checkScrubs(t *testing.T, dref, dthrough *ECC) {
+	t.Helper()
+	if dref.Corrected() != 2 || dref.Uncorrectable() != 0 {
+		t.Fatalf("per-request reads: corrected %d, uncorrectable %d; want 2 and 0", dref.Corrected(), dref.Uncorrectable())
+	}
+	if dthrough.Corrected() != dref.Corrected() || dthrough.Uncorrectable() != dref.Uncorrectable() {
+		t.Errorf("reads through refs: corrected %d, uncorrectable %d; per-request reads: %d and %d",
+			dthrough.Corrected(), dthrough.Uncorrectable(), dref.Corrected(), dref.Uncorrectable())
+	}
+}
+
 // TestECCWindowBoundsTheSteadyRepeat: the scrubber's idle window ends at its
 // next scrub time, so a stretch of DRAM reads that the steady repeat
 // applies through refs stops there, and the scrub classifies the same
@@ -160,77 +263,61 @@ func TestECCFailsOnTransientDoubles(t *testing.T) {
 // due between them: scrubbed in between, each flip is corrected, while a
 // scrub late enough to see both would report the word uncorrectable.
 func TestECCWindowBoundsTheSteadyRepeat(t *testing.T) {
-	cfg := dram.DefaultConfig(sim.DefaultFreq)
-	cfg.Geometry = dram.Geometry{Ranks: 1, BanksPerRank: 8, RowsPerBank: 4096, RowBytes: 8192}
-	trefi := cfg.Timing.TREFI()
-	a, b, victim := dram.Coord{Row: 100}, dram.Coord{Row: 102}, 101
-	const k = 200                               // repetitions of the run a, b
-	start := 200*trefi + cfg.Timing.RFC + 20000 // after the victim's sweep (epoch 101)
-	build := func(interval sim.Cycles) (*dram.Module, *ECC) {
-		m, err := dram.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range []struct {
-			units float64
-			bit   int
-		}{{300, 5}, {305, 37}} {
-			if err := m.PlantWeakCell(0, victim, c.units, c.bit); err != nil {
-				t.Fatal(err)
-			}
-		}
-		d, err := NewECC(interval, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.Attach(m)
-		// Activate both rows early, so the refs below resolve.
-		for i := sim.Cycles(0); i < 4; i++ {
-			m.AccessCoord(a, false, 1000+400*i)
-			m.AccessCoord(b, false, 1200+400*i)
-		}
-		return m, d
-	}
-	perRequest := func(m *dram.Module) (end sim.Cycles) {
-		now := start
-		for i := 0; i < k; i++ {
-			for _, c := range []dram.Coord{a, b} {
-				now += m.AccessCoord(c, false, now).Latency
-			}
-		}
-		return now
-	}
+	const k = 200                          // repetitions of the run a, b
+	interval := eccFlips(t, k)[0].Time + 1 // the first scrub falls between the flips
 
-	probe, _ := build(1 << 62)
-	perRequest(probe)
-	flips := probe.Flips()
-	if len(flips) != 2 || flips[0].Time/trefi != flips[1].Time/trefi || flips[0].Time%trefi < cfg.Timing.RFC {
-		t.Fatalf("want two flips in one stall-free refresh window, got %+v", flips)
-	}
-	interval := flips[0].Time + 1 // the first scrub falls between the flips
-
-	ref, dref := build(interval)
-	end := perRequest(ref)
+	ref, dref := eccWindowModule(t, interval)
+	end := eccReadPairs(ref, eccWindowStart(), k)
 	dref.Scrub(end)
-	through, dthrough := build(interval)
-	var run []dram.RefRead
-	for _, c := range []dram.Coord{a, b} {
-		r, ok := through.Ref(through.Mapper().Unmap(c))
-		if !ok {
-			t.Fatalf("%+v: no ref", c)
-		}
-		run = append(run, dram.RefRead{Ref: r})
-	}
-	rr := through.ReadRefs(run, start, 0, k)
+	through, dthrough := eccWindowModule(t, interval)
+	rr := through.ReadRefs(eccPairRefs(t, through), eccWindowStart(), 0, k)
 	dthrough.Scrub(end)
 	if rr.Steady == 0 {
 		t.Fatal("the steady repeat applied no read")
 	}
-	if dref.Corrected() != 2 || dref.Uncorrectable() != 0 {
-		t.Fatalf("per-request reads: corrected %d, uncorrectable %d; want 2 and 0", dref.Corrected(), dref.Uncorrectable())
+	checkScrubs(t, dref, dthrough)
+}
+
+// TestECCWindowHasALowerEnd: the scrubber's idle window starts at its last
+// scrub, so the hook scrubs at an activation before it, and the steady
+// repeat must not apply such a read without the hook. Both twins read the
+// pairs per request into the flips' refresh window, past its REF and before
+// the first flip, so the steady repeat can take the next read. Then a Scrub
+// at a time past every read moves the last scrub beyond them, and the
+// remaining reads go per request on one twin and through refs on the other.
+// On both, the next activation scrubs, which moves the window back around
+// the reads, and the flips are corrected one at a time; a window without
+// its lower end would let one steady stretch make both flips unscrubbed.
+func TestECCWindowHasALowerEnd(t *testing.T) {
+	const k = 200
+	flips := eccFlips(t, k)
+	interval := flips[0].Time + 1
+	timing := eccWindowConfig().Timing
+	warmEnd := flips[0].Time/timing.TREFI()*timing.TREFI() + timing.RFC
+
+	ref, dref := eccWindowModule(t, interval)
+	through, dthrough := eccWindowModule(t, interval)
+	// The last pass of the warm-up starts past the REF, so its reads note
+	// the window's stall-free stretch.
+	now, reps := eccWindowStart(), 0
+	for began := now; began < warmEnd; reps++ {
+		began = now
+		eccReadPairs(through, now, 1)
+		now = eccReadPairs(ref, now, 1)
 	}
-	if dthrough.Corrected() != dref.Corrected() || dthrough.Uncorrectable() != dref.Uncorrectable() {
-		t.Errorf("reads through refs: corrected %d, uncorrectable %d; per-request reads: %d and %d",
-			dthrough.Corrected(), dthrough.Uncorrectable(), dref.Corrected(), dref.Uncorrectable())
+	if now >= flips[0].Time {
+		t.Fatalf("the warm-up ends at %d, not before the first flip at %d", now, flips[0].Time)
 	}
+	// The remaining reads take well under an interval.
+	dref.Scrub(now + 2*interval)
+	dthrough.Scrub(now + 2*interval)
+
+	end := eccReadPairs(ref, now, k-reps)
+	dref.Scrub(end)
+	rr := through.ReadRefs(eccPairRefs(t, through), now, 0, k-reps)
+	dthrough.Scrub(end)
+	if rr.Steady == 0 {
+		t.Fatal("the steady repeat applied no read")
+	}
+	checkScrubs(t, dref, dthrough)
 }

@@ -150,51 +150,3 @@ func TestDetailedAgreesWithSimpleOnOrdering(t *testing.T) {
 		}
 	}
 }
-
-// TestBankContentionSerialises: with contention on, interleaved accesses to
-// one bank queue behind each other, while different banks proceed in
-// parallel.
-func TestBankContentionSerialises(t *testing.T) {
-	run := func(contend bool, sameBank bool) sim.Cycles {
-		cfg := testConfig()
-		cfg.Contention = contend
-		m := mustModule(t, cfg)
-		a := m.Mapper().Unmap(Coord{Bank: 0, Row: 10, Col: 0})
-		bBank := 1
-		if sameBank {
-			bBank = 0
-		}
-		b := m.Mapper().Unmap(Coord{Bank: bBank, Row: 20, Col: 0})
-		// Two "cores" issuing at the same instants.
-		var total sim.Cycles
-		for i := 0; i < 100; i++ {
-			now := sim.Cycles(i * 50) // faster than service time
-			r1 := m.Access(a, false, now)
-			r2 := m.Access(b, false, now)
-			total += r1.Latency + r2.Latency
-		}
-		return total
-	}
-	offSame := run(false, true)
-	onSame := run(true, true)
-	if onSame <= offSame {
-		t.Errorf("contention did not add latency on one bank: %d vs %d", onSame, offSame)
-	}
-	onDiff := run(true, false)
-	if onDiff >= onSame {
-		t.Errorf("different banks should queue less than one bank: %d vs %d", onDiff, onSame)
-	}
-}
-
-func TestBankQueueStatAccounted(t *testing.T) {
-	cfg := testConfig()
-	cfg.Contention = true
-	m := mustModule(t, cfg)
-	a := m.Mapper().Unmap(Coord{Bank: 0, Row: 10, Col: 0})
-	b := m.Mapper().Unmap(Coord{Bank: 0, Row: 20, Col: 0})
-	m.Access(a, false, 1000)
-	m.Access(b, false, 1001) // lands while the bank is busy
-	if m.Stats().BankQueue == 0 {
-		t.Error("no bank-queue cycles recorded")
-	}
-}

@@ -28,9 +28,6 @@ type DisturbConfig struct {
 	// in between (as the CLFLUSH-free attack's eviction accesses cause) do
 	// not break the bonus, matching the physics of charge disturbance.
 	AlternationBonus float64
-	// FarCouplingRatio is the units deposited into rows at distance 2,
-	// relative to distance-1 rows. Zero disables far coupling.
-	FarCouplingRatio float64
 	// MinFlipUnits is the flip threshold of the weakest cells in the module.
 	MinFlipUnits float64
 	// ThresholdSpread scales how much weaker-than-minimum rows spread out:
@@ -58,7 +55,6 @@ type DisturbConfig struct {
 func DefaultDisturbConfig() DisturbConfig {
 	return DisturbConfig{
 		AlternationBonus:   0.82,
-		FarCouplingRatio:   0, // distance-2 coupling off by default
 		MinFlipUnits:       400_000,
 		ThresholdSpread:    4.0,
 		VulnerableFraction: 0.25,
@@ -81,8 +77,6 @@ func (c DisturbConfig) Validate() error {
 	switch {
 	case c.AlternationBonus < 0 || c.AlternationBonus > 1:
 		return fmt.Errorf("dram: AlternationBonus must be in [0,1], got %g", c.AlternationBonus)
-	case c.FarCouplingRatio < 0 || c.FarCouplingRatio > 1:
-		return fmt.Errorf("dram: FarCouplingRatio must be in [0,1], got %g", c.FarCouplingRatio)
 	case c.MinFlipUnits <= 0:
 		return fmt.Errorf("dram: MinFlipUnits must be positive, got %g", c.MinFlipUnits)
 	case c.ThresholdSpread < 0:

@@ -176,7 +176,6 @@ func TestBanksAreIndependent(t *testing.T) {
 
 func TestRefreshStallWindow(t *testing.T) {
 	cfg := testConfig()
-	cfg.StaggerRanks = false
 	m := mustModule(t, cfg)
 	trefi := cfg.Timing.TREFI()
 	pa := m.Mapper().Unmap(Coord{Bank: 0, Row: 1, Col: 0})
@@ -199,7 +198,6 @@ func TestRefreshStallWindow(t *testing.T) {
 func TestDoubleRefreshStallsMoreOften(t *testing.T) {
 	count := func(scale int) uint64 {
 		cfg := testConfig()
-		cfg.StaggerRanks = false
 		scaled, err := cfg.Timing.RefreshScaled(scale)
 		if err != nil {
 			t.Fatal(err)

@@ -1,7 +1,10 @@
 package dram
 
 import (
+	"fmt"
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -33,8 +36,7 @@ func FuzzMapperRoundTrip(f *testing.F) {
 // refState is everything a read can change in a module: its counters and
 // fault counters, bank state, flips and transient flips (the counts, and
 // those after the first from), refresh memos, and the victim records of the
-// given rows of the given banks and of the rows within two of them (present
-// reports each record's page).
+// given rows of the given banks and of the rows within two of them.
 type refState struct {
 	stats      Stats
 	faults     FaultStats
@@ -43,9 +45,16 @@ type refState struct {
 	flips      []BitFlip
 	ntransient int
 	transient  []BitFlip
-	memos      []sim.Cycles
-	victims    []victim
-	present    []bool
+	epoch      [3]sim.Cycles   // epochK, epochStart, epochEnd
+	stallFree  [][2]sim.Cycles // per rank: stallFreeFrom, stallFreeTo
+	victims    []victimState
+}
+
+// victimState is the victim record of (bank, row); present reports its page.
+type victimState struct {
+	bank, row int
+	present   bool
+	rec       victim
 }
 
 func readRefState(m *Module, banks, rows []int, from, fromTransient int) refState {
@@ -57,30 +66,68 @@ func readRefState(m *Module, banks, rows []int, from, fromTransient int) refStat
 		flips:      m.flips[min(from, len(m.flips)):],
 		ntransient: len(m.transient),
 		transient:  m.transient[min(fromTransient, len(m.transient)):],
-		memos:      []sim.Cycles{sim.Cycles(m.epochK), m.epochStart, m.epochEnd},
+		epoch:      [3]sim.Cycles{sim.Cycles(m.epochK), m.epochStart, m.epochEnd},
 	}
-	st.memos = append(append(st.memos, m.stallFreeFrom...), m.stallFreeTo...)
+	for r := range m.stallFreeFrom {
+		st.stallFree = append(st.stallFree, [2]sim.Cycles{m.stallFreeFrom[r], m.stallFreeTo[r]})
+	}
 	for _, bank := range banks {
 		for _, r := range rows {
 			for row := r - 2; row <= r+2; row++ {
-				var v victim
-				p := m.disturbed[bank].peek(row)
-				if p != nil {
-					v = *p
+				v := victimState{bank: bank, row: row}
+				if p := m.disturbed[bank].peek(row); p != nil {
+					v.present, v.rec = true, *p
 				}
 				st.victims = append(st.victims, v)
-				st.present = append(st.present, p != nil)
 			}
 		}
 	}
 	return st
 }
 
-func (a refState) equal(b refState) bool {
-	return a.stats == b.stats && a.faults == b.faults && a.nflips == b.nflips && a.ntransient == b.ntransient &&
-		slices.Equal(a.memos, b.memos) && slices.Equal(a.banks, b.banks) &&
-		slices.Equal(a.flips, b.flips) && slices.Equal(a.transient, b.transient) &&
-		slices.Equal(a.victims, b.victims) && slices.Equal(a.present, b.present)
+// diff lists what differs between two states of one module configuration,
+// one line each, a's value first: a counter by its field, a bank or a
+// rank's memo by its index and a victim record by its bank and row. It is
+// empty when the states agree.
+func (a refState) diff(b refState) string {
+	var d []string
+	note := func(what string, x, y any) { d = append(d, fmt.Sprintf("%s: %+v, %+v", what, x, y)) }
+	fields := func(what string, x, y any) {
+		vx, vy := reflect.ValueOf(x), reflect.ValueOf(y)
+		for i := range vx.NumField() {
+			if fx, fy := vx.Field(i).Interface(), vy.Field(i).Interface(); fx != fy {
+				note(what+"."+vx.Type().Field(i).Name, fx, fy)
+			}
+		}
+	}
+	fields("stats", a.stats, b.stats)
+	fields("faults", a.faults, b.faults)
+	for i := range a.banks {
+		if a.banks[i] != b.banks[i] {
+			note(fmt.Sprintf("bank %d", i), a.banks[i], b.banks[i])
+		}
+	}
+	if a.nflips != b.nflips || !slices.Equal(a.flips, b.flips) {
+		note("flips (count, then the unchecked)", fmt.Sprint(a.nflips, a.flips), fmt.Sprint(b.nflips, b.flips))
+	}
+	if a.ntransient != b.ntransient || !slices.Equal(a.transient, b.transient) {
+		note("transient flips (count, then the unchecked)", fmt.Sprint(a.ntransient, a.transient), fmt.Sprint(b.ntransient, b.transient))
+	}
+	if a.epoch != b.epoch {
+		note("epoch memo (epochK, epochStart, epochEnd)", a.epoch, b.epoch)
+	}
+	for r := range a.stallFree {
+		if a.stallFree[r] != b.stallFree[r] {
+			note(fmt.Sprintf("rank %d stall-free memo (from, to)", r), a.stallFree[r], b.stallFree[r])
+		}
+	}
+	for i, x := range a.victims {
+		if y := b.victims[i]; x != y {
+			note(fmt.Sprintf("victim bank %d row %d (present, record)", x.bank, x.row),
+				fmt.Sprintf("%v %+v", x.present, x.rec), fmt.Sprintf("%v %+v", y.present, y.rec))
+		}
+	}
+	return strings.Join(d, "\n")
 }
 
 // hookSaw is what the scrubber-like hook of refModuleKinds saw when it
@@ -93,9 +140,9 @@ type hookSaw struct {
 // refModuleKinds are the modules FuzzRefMatchesAccess draws, each built
 // identically for both twins: plain; with an activation hook that
 // refreshes a neighbour at random, as PARA does; with an interceptor that
-// absorbs some activations, as ARMOR does; with far coupling; with injected
-// refresh skips and transient ECC errors; and with those faults and a hook
-// that acts as an ECC scrubber does, appending what it saw to *saw.
+// absorbs some activations, as ARMOR does; with injected refresh skips and
+// transient ECC errors; and with those faults and a hook that acts as an
+// ECC scrubber does, appending what it saw to *saw.
 var refModuleKinds = []func(t *testing.T, cfg Config, saw *[]hookSaw) *Module{
 	func(t *testing.T, cfg Config, _ *[]hookSaw) *Module { return mustModule(t, cfg) },
 	func(t *testing.T, cfg Config, _ *[]hookSaw) *Module {
@@ -116,10 +163,6 @@ var refModuleKinds = []func(t *testing.T, cfg Config, saw *[]hookSaw) *Module{
 			return (n+c.Row)%3 == 0
 		})
 		return m
-	},
-	func(t *testing.T, cfg Config, _ *[]hookSaw) *Module {
-		cfg.Disturb.FarCouplingRatio = 0.5
-		return mustModule(t, cfg)
 	},
 	func(t *testing.T, cfg Config, _ *[]hookSaw) *Module { return faultyModule(t, cfg) },
 	func(t *testing.T, cfg Config, saw *[]hookSaw) *Module {
@@ -164,7 +207,10 @@ func faultyModule(t *testing.T, cfg Config) *Module {
 // last latencies, whether it reads live or repeats a steady run, and the
 // scrubber-like hook must act at the same times and see the same flips on
 // both. A run whose refs do not resolve goes through AccessCoord on both.
+// A mismatch names only the parts of refState that differ.
 func FuzzRefMatchesAccess(f *testing.F) {
+	// Four random inputs; their first bytes draw the interceptor kind three
+	// times and the scrubber kind once.
 	for seed := uint64(1); seed <= 4; seed++ {
 		rng := sim.NewRand(seed)
 		b := make([]byte, 2048)
@@ -257,8 +303,8 @@ func FuzzRefMatchesAccess(f *testing.F) {
 					run[i].Ref, resolved = ref, resolved && ok
 				}
 				tail, k := sim.Cycles(next()), 1+next()%64
-				if !state(0, checked, checkedTransient).equal(state(1, checked, checkedTransient)) {
-					t.Fatalf("step %d: resolving refs changed the module", step)
+				if d := state(0, checked, checkedTransient).diff(state(1, checked, checkedTransient)); d != "" {
+					t.Fatalf("step %d: resolving refs changed the module (reference, then through refs):\n%s", step, d)
 				}
 				var rr RefRun
 				if resolved {
@@ -284,8 +330,8 @@ func FuzzRefMatchesAccess(f *testing.F) {
 						step, k, sum, last, rr.Latency, rr.Last)
 				}
 			}
-			if a, b := state(0, checked, checkedTransient), state(1, checked, checkedTransient); !a.equal(b) {
-				t.Fatalf("step %d: the modules differ\nreference:    %+v\nthrough refs: %+v", step, a, b)
+			if d := state(0, checked, checkedTransient).diff(state(1, checked, checkedTransient)); d != "" {
+				t.Fatalf("step %d: the modules differ (reference, then through refs):\n%s", step, d)
 			}
 			if !slices.Equal(saw[0], saw[1]) {
 				t.Fatalf("step %d: the hooks saw different things\nreference:    %+v\nthrough refs: %+v", step, saw[0], saw[1])

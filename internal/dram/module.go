@@ -17,26 +17,18 @@ type Config struct {
 	// Mapper translates physical addresses; nil selects a LinearMapper with
 	// bank hashing disabled (row-adjacent addresses stay row-adjacent).
 	Mapper Mapper
-	// StaggerRanks offsets each rank's refresh schedule by tREFI/ranks so
-	// refresh blocking is spread in time (real controllers do this).
-	StaggerRanks bool
 	// Detailed switches access latency computation to the command-level
 	// engine (PRE/ACT/RD with JEDEC inter-command constraints). Nil keeps
 	// the fast latency-additive model.
 	Detailed *DetailedTiming
-	// Contention serialises accesses to one bank: a request arriving while
-	// the bank services another queues behind it. Off by default (the
-	// latency-additive model treats each core's accesses independently).
-	Contention bool
 }
 
 // DefaultConfig returns the paper's 4 GB DDR3 module at the given frequency.
 func DefaultConfig(f sim.Freq) Config {
 	return Config{
-		Geometry:     DefaultGeometry(),
-		Timing:       DefaultTiming(f),
-		Disturb:      DefaultDisturbConfig(),
-		StaggerRanks: true,
+		Geometry: DefaultGeometry(),
+		Timing:   DefaultTiming(f),
+		Disturb:  DefaultDisturbConfig(),
 	}
 }
 
@@ -44,7 +36,6 @@ func DefaultConfig(f sim.Freq) Config {
 type bankState struct {
 	openRow    int // -1 when precharged
 	lastAccess sim.Cycles
-	busyUntil  sim.Cycles
 }
 
 // Stats aggregates module activity.
@@ -57,7 +48,6 @@ type Stats struct {
 	Activations   uint64
 	RefreshStalls uint64     // accesses delayed by an in-progress REF
 	StallCycles   sim.Cycles // total cycles lost to refresh blocking
-	BankQueue     sim.Cycles // cycles spent queued behind a busy bank
 	Flips         int
 }
 
@@ -113,9 +103,10 @@ type Module struct {
 	cmdMask    uint64
 	cmdMaskOK  bool
 
-	// refOffset is each rank's refresh-schedule offset (zero unless
-	// StaggerRanks), precomputed so the access path never divides by the rank
-	// count.
+	// refOffset is each rank's refresh-schedule offset: ranks refresh
+	// tREFI/ranks apart, so refresh blocking is spread in time, as real
+	// controllers do. Precomputed so the access path never divides by the
+	// rank count.
 	refOffset []sim.Cycles
 	// stallFree memoises, per rank, a half-open interval of simulated time
 	// known to carry no refresh stall, so streams of accesses inside one
@@ -216,10 +207,8 @@ func New(cfg Config) (*Module, error) {
 	m.refOffset = make([]sim.Cycles, ranks)
 	m.stallFreeFrom = make([]sim.Cycles, ranks)
 	m.stallFreeTo = make([]sim.Cycles, ranks)
-	if cfg.StaggerRanks && ranks > 1 {
-		for r := 0; r < ranks; r++ {
-			m.refOffset[r] = m.trefi / sim.Cycles(ranks) * sim.Cycles(r)
-		}
+	for r := 1; r < ranks; r++ {
+		m.refOffset[r] = m.trefi / sim.Cycles(ranks) * sim.Cycles(r)
 	}
 	for i := range m.banks {
 		m.banks[i].openRow = -1
@@ -270,7 +259,8 @@ func (m *Module) OnActivate(h ActivateHook, idle IdleWindow) {
 // access is served without opening the DRAM row (the mechanism behind
 // ARMOR-style hot-row buffers in the memory controller). Row-buffer hits
 // are not intercepted — they never activate. Like an OnActivate hook, the
-// filter acts on the DRAM module and its own state only.
+// filter acts on the DRAM module and its own state only. It declares no idle
+// window, so it keeps every read through ReadRefs live.
 func (m *Module) SetInterceptor(f func(c Coord, now sim.Cycles) bool) { m.interceptor = f }
 
 // plantCheck validates the coordinates and threshold common to the Plant
@@ -519,11 +509,11 @@ func (m *Module) AccessCoord(c Coord, write bool, now sim.Cycles) AccessResult {
 func (m *Module) access(c Coord, rank int, write bool, now sim.Cycles, ref *Ref) AccessResult {
 	// Row-buffer-hit fast path: the open row matches, the rank is provably
 	// outside any refresh-stall window, no REF boundary was crossed since
-	// the bank's last access, and neither contention nor the command engine
-	// is in play. Every condition is a pure read, so falling through runs
-	// the general path with no state disturbed; when all hold, the general
-	// path would perform exactly these updates.
-	if b := &m.banks[c.Bank]; b.openRow == c.Row && m.engine == nil && !m.cfg.Contention &&
+	// the bank's last access, and the command engine is not in play. Every
+	// condition is a pure read, so falling through runs the general path
+	// with no state disturbed; when all hold, the general path would
+	// perform exactly these updates.
+	if b := &m.banks[c.Bank]; b.openRow == c.Row && m.engine == nil &&
 		now >= m.stallFreeFrom[rank] && now < m.stallFreeTo[rank] &&
 		now >= m.epochStart && now < m.epochEnd &&
 		b.lastAccess >= m.epochStart && b.lastAccess < m.epochEnd {
@@ -548,12 +538,6 @@ func (m *Module) access(c Coord, rank int, write bool, now sim.Cycles, ref *Ref)
 		now += stall
 	}
 	b := &m.banks[c.Bank]
-	if m.cfg.Contention && b.busyUntil > now {
-		queue := b.busyUntil - now
-		m.stats.BankQueue += queue
-		stall += queue
-		now = b.busyUntil
-	}
 	// An auto-refresh command requires all banks precharged, so any REF
 	// since the bank's last access closed its open row.
 	if b.openRow >= 0 && !m.sameRefEpoch(now, b.lastAccess) {
@@ -578,9 +562,6 @@ func (m *Module) access(c Coord, rank int, write bool, now sim.Cycles, ref *Ref)
 		m.stats.RowConflicts++
 		res.Activated = true
 		res.Latency = stall + m.latency(c.Bank, rank, false, true, now)
-	}
-	if m.cfg.Contention {
-		b.busyUntil = now + res.Latency - stall
 	}
 	if res.Activated {
 		if ref != nil {
@@ -630,15 +611,10 @@ func (m *Module) activate(c Coord, now sim.Cycles) {
 	m.activateTail(c, now)
 }
 
-// activateTail is what follows activateRows for every activation: far
-// coupling, injected transient errors and the activation hooks. Reads
-// through refs run it too, after activating through their records.
+// activateTail is what follows activateRows for every activation: injected
+// transient errors and the activation hooks. Reads through refs run it too,
+// after activating through their records.
 func (m *Module) activateTail(c Coord, now sim.Cycles) {
-	if far := m.cfg.Disturb.FarCouplingRatio; far > 0 {
-		m.disturb(c.Bank, c.Row-2, +1, far, now)
-		m.disturb(c.Bank, c.Row+2, -1, far, now)
-	}
-
 	if m.fault.transients() {
 		m.injectTransient(c, now)
 	}
@@ -667,19 +643,10 @@ func (m *Module) activateRows(c Coord, self, below, above *victim, now sim.Cycle
 		self.flipped = 0
 	}
 	if below != nil {
-		m.deposit(below, c.Bank, c.Row-1, +1, 1, now)
+		m.deposit(below, c.Bank, c.Row-1, +1, now)
 	}
 	if above != nil {
-		m.deposit(above, c.Bank, c.Row+1, -1, 1, now)
-	}
-}
-
-// disturb deposits units into victim row `row` of `bank` due to an
-// activation of the neighbour on the given side (+1: the aggressor is the
-// row above the victim; -1: below).
-func (m *Module) disturb(bank, row int, side int8, scale float64, now sim.Cycles) {
-	if v := m.victimAt(bank, row); v != nil {
-		m.deposit(v, bank, row, side, scale, now)
+		m.deposit(above, c.Bank, c.Row+1, -1, now)
 	}
 }
 
@@ -702,10 +669,11 @@ func (m *Module) victimAt(bank, row int) *victim {
 	return &pg[uint(row)%victimPageRows]
 }
 
-// deposit is disturb on (bank,row)'s record v: the lazy periodic-refresh
-// reset, then the units (victim.add), then any flips the accumulator
-// reaches.
-func (m *Module) deposit(v *victim, bank, row int, side int8, scale float64, now sim.Cycles) {
+// deposit disturbs victim row `row` of `bank`, whose record is v, due to an
+// activation of the neighbour on the given side (+1: the aggressor is the
+// row above the victim; -1: below): the lazy periodic-refresh reset, then
+// the units (victim.add), then any flips the accumulator reaches.
+func (m *Module) deposit(v *victim, bank, row int, side int8, now sim.Cycles) {
 	// Lazy periodic-refresh reset.
 	if r := m.lastScheduledRefresh(row, now, true); r > v.lastReset {
 		v.units = 0
@@ -716,26 +684,23 @@ func (m *Module) deposit(v *victim, bank, row int, side int8, scale float64, now
 	if v.thr == 0 {
 		m.cacheThreshold(v, bank, row)
 	}
-	if v.add(side, scale, m.cfg.Disturb.AlternationBonus) {
+	if v.add(side, m.cfg.Disturb.AlternationBonus) {
 		m.flip(v, bank, row, now)
 	}
 }
 
-// add adds scale units to the accumulator, plus bonus for a unit deposit
-// from the side opposite the previous one, and reports whether it has
-// reached the cached threshold. deposit and the steady repeat of reads
-// through refs (ref.go) share it.
-func (v *victim) add(side int8, scale, bonus float64) bool {
-	units := scale
-	if scale == 1 {
-		// Alternation bonus: the victim's previous disturbance came from
-		// its other neighbour (double-sided hammering discharges
-		// super-linearly).
-		if v.lastSide != 0 && v.lastSide != side {
-			units += bonus
-		}
-		v.lastSide = side
+// add adds one unit to the accumulator, plus bonus for a deposit from the
+// side opposite the previous one, and reports whether it has reached the
+// cached threshold. deposit and the steady repeat of reads through refs
+// (ref.go) share it.
+func (v *victim) add(side int8, bonus float64) bool {
+	units := 1.0
+	// Alternation bonus: the victim's previous disturbance came from its
+	// other neighbour (double-sided hammering discharges super-linearly).
+	if v.lastSide != 0 && v.lastSide != side {
+		units += bonus
 	}
+	v.lastSide = side
 	v.units += units
 	// The cell list is materialised only once the weakest cell's threshold
 	// has been reached (the hot path runs on every activation).

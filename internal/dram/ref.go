@@ -15,26 +15,25 @@ import "repro/internal/sim"
 //
 //   - The live read runs AccessCoord's own body (access) with the Ref's
 //     records standing in for the lookups, so refresh stalls, the REF-close
-//     check, the interceptor, far coupling, injected faults and the
-//     activation hooks act exactly as they do for a request.
+//     check, the interceptor, injected faults and the activation hooks act
+//     exactly as they do for a request.
 //   - The steady repeat (steady) applies a stretch of reads whose outcome
 //     is provably the same in every pass over the run. The module has no
-//     interceptor, far coupling, command engine or contention, and every
-//     activation hook declared an idle window; every bank the run reads
-//     holds the row the run's cyclically last read of it opens, and was
-//     last accessed in the memoised refresh epoch; every read of the
-//     stretch lies inside that epoch, inside every hook's idle window (as
-//     the hook reports it at the stretch's start) and inside its rank's
-//     memoised stall-free window; and every record the run disturbs has
-//     its threshold cached and no refresh sweep pending
-//     (lastScheduledRefresh <= lastReset). Then no read stalls or finds its
-//     row closed by a REF, no hook acts, and each read finds its bank as
-//     the run's cyclically previous read of it left it, so its class and
-//     latency are the same in every pass, wherever the stretch starts or
-//     ends. The lazy refresh check in deposit cannot fire:
-//     lastScheduledRefresh depends on the time only through its refresh
-//     epoch, injected refresh skips included, and lastReset only grows.
-//     The tight loop makes, per activation, the self reset and the two
+//     interceptor or command engine, and every activation hook declared an
+//     idle window; every bank the run reads holds the row the run's
+//     cyclically last read of it opens, and was last accessed in the
+//     memoised refresh epoch; every read of the stretch lies inside that
+//     epoch, inside every hook's idle window (as the hook reports it at the
+//     stretch's start) and inside its rank's memoised stall-free window;
+//     and every record the run disturbs has its threshold cached and no
+//     refresh sweep pending (lastScheduledRefresh <= lastReset). Then no
+//     read stalls or finds its row closed by a REF, no hook acts, and each
+//     read finds its bank as the run's cyclically previous read of it left
+//     it, so its class and latency are the same in every pass, wherever
+//     the stretch starts or ends. The lazy refresh check in deposit cannot
+//     fire: lastScheduledRefresh depends on the time only through its
+//     refresh epoch, injected refresh skips included, and lastReset only
+//     grows. The tight loop makes, per activation, the self reset and the two
 //     deposits in access's order through deposit's own code after its lazy
 //     check (victim.add, flip), then adds the counters once and sets each
 //     bank's open row and last access. The injected faults' part of the
@@ -99,10 +98,9 @@ type RefRun struct {
 }
 
 // ReadBound bounds the latency of one read, a refresh stall included, while
-// the module's timing is fixed: no command engine and no bank contention.
-// ok is false otherwise.
+// the module's timing is fixed: no command engine. ok is false otherwise.
 func (m *Module) ReadBound() (bound sim.Cycles, ok bool) {
-	if m.engine != nil || m.cfg.Contention {
+	if m.engine != nil {
 		return 0, false
 	}
 	return m.cfg.Timing.RFC + m.cfg.Timing.RowConflict, true
@@ -115,8 +113,7 @@ func (m *Module) ReadBound() (bound sim.Cycles, ok bool) {
 // leave it.
 func (m *Module) ReadRefs(run []RefRead, start, tail sim.Cycles, k int) RefRun {
 	var out RefRun
-	plain := len(run) > 0 && m.interceptor == nil && m.cfg.Disturb.FarCouplingRatio == 0 &&
-		m.engine == nil && !m.cfg.Contention
+	plain := len(run) > 0 && m.interceptor == nil && m.engine == nil
 	for _, h := range m.hooks {
 		plain = plain && h.idle != nil
 	}
@@ -266,10 +263,10 @@ func (m *Module) steady(run []RefRead, i int, t *sim.Cycles, tail sim.Cycles, le
 			r.self.lastReset = now
 			r.self.lastSide = 0
 			r.self.flipped = 0
-			if r.below != nil && r.below.add(+1, 1, bonus) {
+			if r.below != nil && r.below.add(+1, bonus) {
 				m.flip(r.below, r.c.Bank, r.c.Row-1, now)
 			}
-			if r.above != nil && r.above.add(-1, 1, bonus) {
+			if r.above != nil && r.above.add(-1, bonus) {
 				m.flip(r.above, r.c.Bank, r.c.Row+1, now)
 			}
 		}

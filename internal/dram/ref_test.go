@@ -76,7 +76,7 @@ func TestSteadyRepeatUnderFaults(t *testing.T) {
 		t.Errorf("reference fault stats %+v: want the 4 slots of rows 99, 101, 199 and 201, and some transients", fs)
 	}
 	rows := []int{a.Row, b.Row}
-	if x, y := readRefState(ms[0], []int{0}, rows, 0, 0), readRefState(ms[1], []int{0}, rows, 0, 0); !x.equal(y) {
-		t.Fatalf("the modules differ\nreference:    %+v\nthrough refs: %+v", x, y)
+	if d := readRefState(ms[0], []int{0}, rows, 0, 0).diff(readRefState(ms[1], []int{0}, rows, 0, 0)); d != "" {
+		t.Fatalf("the modules differ (reference, then through refs):\n%s", d)
 	}
 }

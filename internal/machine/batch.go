@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/memsys"
 	"repro/internal/sim"
-	"repro/internal/vm"
 )
 
 // Batch-stepped execution. The per-op loop pays interpretive dispatch on
@@ -233,31 +232,18 @@ func (m *Machine) execView(c *Core, ops []Op, horizon sim.Cycles, gen uint64) in
 			continue
 		}
 		reqs := c.reqs[:0]
-		// One-entry page memo: nothing can remap between gather iterations,
-		// so a VA on the same page as the previous op reuses its frame.
-		// memoPage starts unaligned, so it never matches.
-		memoPage, memoFrame := uint64(1), uint64(0)
 		for _, op := range ops[i:] {
 			kind, ok := reqKind(op.Kind)
 			if !ok {
 				break
 			}
-			va := op.VA
-			var pa uint64
-			if page := va &^ uint64(vm.PageSize-1); page == memoPage {
-				pa = memoFrame | va&uint64(vm.PageSize-1)
-			} else {
-				var err error
-				pa, err = c.Proc.AS.Translate(va)
-				if err != nil {
-					// Leave the faulting op for the per-op path, which
-					// reports it with exact wrapping.
-					break
-				}
-				memoPage = page
-				memoFrame = pa &^ uint64(vm.PageSize-1)
+			pa, err := c.Proc.AS.Translate(op.VA)
+			if err != nil {
+				// Leave the faulting op for the per-op path, which reports
+				// it with exact wrapping.
+				break
 			}
-			reqs = append(reqs, memsys.Req{VA: va, PA: pa, Kind: kind})
+			reqs = append(reqs, memsys.Req{VA: op.VA, PA: pa, Kind: kind})
 		}
 		c.reqs = reqs
 		if len(reqs) == 0 {

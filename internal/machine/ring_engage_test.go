@@ -86,8 +86,8 @@ func TestRingEngages(t *testing.T) {
 // activation (PARA, TRR) or intercepts activations (ARMOR), at least 80%
 // are skipped and the skip reads every DRAM line live. None are skipped
 // where the skip must stand aside: at StepBatch 1, with command-level DRAM
-// timing or bank contention (the skip's latency bound needs fixed timing),
-// and on the 4-core Table 3 heavy point.
+// timing (the skip's latency bound needs fixed timing), and on the 4-core
+// Table 3 heavy point.
 func TestIterationSkipEngages(t *testing.T) {
 	for _, k := range scenario.AttackKinds() {
 		in, err := scenario.Build(scenario.Spec{Cores: 1, Seed: 1, Attack: &scenario.Attack{Kind: k}})
@@ -152,14 +152,12 @@ func TestIterationSkipEngages(t *testing.T) {
 		heavy = append(heavy, scenario.Workload{Name: name})
 	}
 	detailed := func(c *machine.Config) { c.Memory.DRAM.Detailed = dram.Detailed(c.Freq) }
-	contention := func(c *machine.Config) { c.Memory.DRAM.Contention = true }
 	off := []struct {
 		name string
 		spec scenario.Spec
 	}{
 		{"StepBatch=1", scenario.Spec{Cores: 1, Attack: attack, StepBatch: 1}},
 		{"detailed DRAM timing", scenario.Spec{Cores: 1, Attack: attack, Mutate: detailed}},
-		{"bank contention", scenario.Spec{Cores: 1, Attack: attack, Mutate: contention}},
 		{"table3 heavy", scenario.Spec{Cores: 4, Attack: &scenario.Attack{Kind: scenario.ClflushFree},
 			Defense: scenario.ANVILBaseline, Workloads: heavy}},
 	}

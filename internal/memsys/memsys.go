@@ -15,10 +15,9 @@ import (
 
 // Config assembles a System.
 type Config struct {
-	DRAM      dram.Config
-	Cache     cache.HierarchyConfig
-	PMUSeed   uint64
-	PMUBuffer int
+	DRAM    dram.Config
+	Cache   cache.HierarchyConfig
+	PMUSeed uint64
 }
 
 // DefaultConfig is the paper's machine: Sandy Bridge caches over the 4 GB
@@ -62,7 +61,7 @@ func New(cfg Config) (*System, error) {
 	return &System{
 		DRAM:   mod,
 		Caches: h,
-		PMU:    pmu.New(cfg.PMUSeed, cfg.PMUBuffer),
+		PMU:    pmu.New(cfg.PMUSeed, 0), // the default PEBS buffer
 	}, nil
 }
 

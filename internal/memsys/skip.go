@@ -20,8 +20,7 @@ import (
 //     keys (line and kind) and none writes a line back, and the window's
 //     first iteration matches those keys (one compare each): a ring window
 //     repeats with period iter, so that covers every iteration of the run;
-//   - DRAM's timing is fixed (dram.Module.ReadBound): no command engine and
-//     no bank contention;
+//   - DRAM's timing is fixed (dram.Module.ReadBound): no command engine;
 //   - the PMU's overflow budget covers the run's loads and stores;
 //   - even at its slowest the run ends before the stop time and before any
 //     PEBS sampler could take a sample (pmu.NextSample). An iteration takes

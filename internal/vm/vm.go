@@ -120,13 +120,6 @@ func (a *Allocator) Release(frame uint64) {
 	a.free = append(a.free, frame)
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // The translation cache is a host-side memo of the page map, not a modelled
 // TLB: translation costs no simulated time, so its size and indexing move no
 // output byte, only the simulator's speed.
