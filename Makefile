@@ -152,7 +152,9 @@ bench:
 
 # The paired benchmark guard CI runs: perfbench's hammer and lease workloads
 # on the tree at BASE and on this checkout, alternating, failing when the
-# checkout's median replicates_per_ref_s drops below 0.8x the base's.
+# checkout's median replicates_per_ref_s drops below 0.8x the base's or its
+# median max_rss_mb rises past the base's by more than BENCHMARK.json's
+# bound; it reports the setup_s medians without judging them.
 # Usage: make bench-guard BASE=origin/main (about 4 minutes).
 bench-guard:
 	bash .github/bench-guard.sh $(BASE)

@@ -2,6 +2,7 @@ package attack
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -284,7 +285,8 @@ func TestInferencePrefersActualPolicy(t *testing.T) {
 // TestHammerPeriodContract pins the machine.PeriodicProgram contract the
 // batched core's request ring relies on instead of reading views: at every
 // committed position p, Next and every NextRun view serve iter[p mod
-// len(iter)], and the iteration never changes.
+// len(iter)], the iteration never changes, and no operation is ever the
+// last (Period reports the largest count left).
 func TestHammerPeriodContract(t *testing.T) {
 	builds := []struct {
 		name  string
@@ -304,16 +306,16 @@ func TestHammerPeriodContract(t *testing.T) {
 		if _, err := m.Spawn(0, p); err != nil {
 			t.Fatal(err)
 		}
-		_, iter := p.Period()
+		_, iter, _ := p.Period()
 		want := append([]machine.Op(nil), iter...)
 		per := uint64(len(want))
 		rng := sim.NewRand(1)
 		var pos uint64
 		for step := 0; step < 2000; step++ {
-			committed, it := p.Period()
-			if committed != pos || len(it) != len(want) || &it[0] != &iter[0] {
-				t.Fatalf("%s: Period = (%d, %d ops at %p), want (%d, the iteration at %p)",
-					name, committed, len(it), &it[0], pos, &iter[0])
+			committed, it, left := p.Period()
+			if committed != pos || len(it) != len(want) || &it[0] != &iter[0] || left != math.MaxUint64 {
+				t.Fatalf("%s: Period = (%d, %d ops at %p, %d left), want (%d, the iteration at %p, %d left)",
+					name, committed, len(it), &it[0], left, pos, &iter[0], uint64(math.MaxUint64))
 			}
 			if rng.Intn(3) == 0 {
 				if op := p.Next(); op != want[pos%per] {

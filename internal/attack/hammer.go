@@ -124,16 +124,16 @@ func (h *hammerCore) NextRun(max int) []machine.Op {
 // Advance implements machine.BatchProgram.
 func (h *hammerCore) Advance(n int) { h.execOps += uint64(n) }
 
-// Period implements machine.PeriodicProgram.
-func (h *hammerCore) Period() (uint64, []machine.Op) { return h.execOps, h.ops }
+// Period implements machine.PeriodicProgram. A hammer loop never ends.
+func (h *hammerCore) Period() (uint64, []machine.Op, uint64) { return h.execOps, h.ops, ^uint64(0) }
 
 // seal pre-unrolls the iteration into a ring of whole iterations so NextRun
-// serves long contiguous views regardless of the iteration length: at least
-// the machine.RingIterations a ring-served view spans, and at least
-// machine.DefaultBatchCap operations. Called at the end of every attack Init.
+// serves contiguous views of at least machine.DefaultBatchCap operations
+// regardless of the iteration length. Called at the end of every attack
+// Init.
 func (h *hammerCore) seal() {
 	iterLen := len(h.ops)
-	copies := max(machine.RingIterations, (machine.DefaultBatchCap+iterLen-1)/iterLen)
+	copies := (machine.DefaultBatchCap + iterLen - 1) / iterLen
 	h.unrolled = make([]machine.Op, 0, copies*iterLen)
 	for i := 0; i < copies; i++ {
 		h.unrolled = append(h.unrolled, h.ops...)

@@ -1,6 +1,7 @@
 package defense
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -270,7 +271,7 @@ func TestECCWindowBoundsTheSteadyRepeat(t *testing.T) {
 	end := eccReadPairs(ref, eccWindowStart(), k)
 	dref.Scrub(end)
 	through, dthrough := eccWindowModule(t, interval)
-	rr := through.ReadRefs(eccPairRefs(t, through), eccWindowStart(), 0, k)
+	rr := through.ReadRefs(eccPairRefs(t, through), eccWindowStart(), 0, k, math.MaxUint64)
 	dthrough.Scrub(end)
 	if rr.Steady == 0 {
 		t.Fatal("the steady repeat applied no read")
@@ -314,7 +315,7 @@ func TestECCWindowHasALowerEnd(t *testing.T) {
 
 	end := eccReadPairs(ref, now, k-reps)
 	dref.Scrub(end)
-	rr := through.ReadRefs(eccPairRefs(t, through), now, 0, k-reps)
+	rr := through.ReadRefs(eccPairRefs(t, through), now, 0, k-reps, math.MaxUint64)
 	dthrough.Scrub(end)
 	if rr.Steady == 0 {
 		t.Fatal("the steady repeat applied no read")

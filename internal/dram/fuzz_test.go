@@ -2,6 +2,7 @@ package dram
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -199,35 +200,45 @@ func faultyModule(t *testing.T, cfg Config) *Module {
 // bank, times stepping across refresh slots, refresh-stall windows, epoch
 // ends and the rows' refresh sweeps, and rows planted weak enough to flip.
 // The reference twin serves every access through AccessCoord. The other
-// reads runs of one to four lines, repeated 1 to 64 times, through
-// ReadRefs, with refs resolved once per line and kept: resolving a ref
-// must change nothing, and ReadRefs must leave the module (refState:
-// stats, banks, victim records bit for bit, flips, transient flips, memos)
-// exactly as the reference's AccessCoord calls do, with the same summed and
-// last latencies, whether it reads live or repeats a steady run, and the
+// reads runs of one to four lines, repeated up to 1 to 64 times, through
+// ReadRefs, with refs resolved once per line and kept, and with a deadline
+// drawn from the next byte of deadlines: a missing byte means none, so an
+// input without deadlines draws the programs it drew before runs had them.
+// Resolving a ref must change nothing. ReadRefs must make only whole
+// repetitions, each ending, its tail included, before the deadline, and
+// must leave the module (refState: stats, banks, victim records bit for
+// bit, flips, transient flips, memos) exactly as the reference's AccessCoord
+// calls for that many repetitions do, with the same summed and last
+// latencies, whether it reads live or repeats a steady run, and the
 // scrubber-like hook must act at the same times and see the same flips on
-// both. A run whose refs do not resolve goes through AccessCoord on both.
-// A mismatch names only the parts of refState that differ.
+// both. A run whose refs do not resolve goes through AccessCoord on both,
+// without a deadline. A mismatch names only the parts of refState that
+// differ.
 func FuzzRefMatchesAccess(f *testing.F) {
-	// Four random inputs; their first bytes draw the interceptor kind three
-	// times and the scrubber kind once.
-	for seed := uint64(1); seed <= 4; seed++ {
+	input := func(seed uint64) []byte {
 		rng := sim.NewRand(seed)
 		b := make([]byte, 2048)
 		for i := range b {
 			b[i] = byte(rng.Uint64())
 		}
-		f.Add(b)
+		return b
 	}
-	// One input of each module kind.
-	for kind := range refModuleKinds {
-		rng := sim.NewRand(uint64(100 + kind))
-		b := make([]byte, 2048)
-		for i := range b {
-			b[i] = byte(rng.Uint64())
+	// Four random inputs; their first bytes draw the interceptor kind three
+	// times and the scrubber kind once.
+	for seed := uint64(1); seed <= 4; seed++ {
+		f.Add(input(seed), []byte(nil))
+	}
+	// One input of each module kind, without deadlines and with them.
+	for _, deadlines := range []bool{false, true} {
+		for kind := range refModuleKinds {
+			b := input(uint64(100 + kind))
+			b[0] = byte(kind)
+			var d []byte
+			if deadlines {
+				d = input(uint64(200 + kind))
+			}
+			f.Add(b, d)
 		}
-		b[0] = byte(kind)
-		f.Add(b)
 	}
 	cfg := testConfig()
 	// Sixteen REF commands a window, each of the default tREFI: every row
@@ -236,7 +247,7 @@ func FuzzRefMatchesAccess(f *testing.F) {
 	cfg.Timing.RefreshCommands = 16
 	banks := []int{0, 1, 8, 9}
 	rows := []int{0, 1, 2, 3, 4, 5, 6, 7, 4094, 4095}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data, deadlines []byte) {
 		next := func() int {
 			if len(data) == 0 {
 				return 0
@@ -244,6 +255,16 @@ func FuzzRefMatchesAccess(f *testing.F) {
 			b := data[0]
 			data = data[1:]
 			return int(b)
+		}
+		// deadline draws a run's deadline from start, about up to the end of
+		// its longest runs, none when deadlines are spent.
+		deadline := func(start sim.Cycles) sim.Cycles {
+			if len(deadlines) == 0 {
+				return math.MaxUint64
+			}
+			b := sim.Cycles(deadlines[0])
+			deadlines = deadlines[1:]
+			return start + b*b*4
 		}
 		build := refModuleKinds[next()%len(refModuleKinds)]
 		var ms [2]*Module // the reference, and the twin reading through refs
@@ -268,7 +289,7 @@ func FuzzRefMatchesAccess(f *testing.F) {
 		refs := map[Coord]Ref{}
 		half := ms[0].trefi / 2 // every slot of two staggered ranks
 		var now sim.Cycles
-		runs, steady := 0, 0              // runs through refs, and reads the steady repeat applied
+		runs, cut, steady := 0, 0, 0      // runs through refs, those the deadline cut, and reads the steady repeat applied
 		checked, checkedTransient := 0, 0 // flips already compared
 		for step := 0; len(data) > 0 && step < 512; step++ {
 			switch d := next(); d % 4 {
@@ -306,14 +327,22 @@ func FuzzRefMatchesAccess(f *testing.F) {
 				if d := state(0, checked, checkedTransient).diff(state(1, checked, checkedTransient)); d != "" {
 					t.Fatalf("step %d: resolving refs changed the module (reference, then through refs):\n%s", step, d)
 				}
-				var rr RefRun
+				rr := RefRun{Reps: k}
+				dl := sim.Cycles(math.MaxUint64)
 				if resolved {
-					rr = ms[1].ReadRefs(run, now, tail, k)
+					dl = deadline(now)
+					rr = ms[1].ReadRefs(run, now, tail, k, dl)
+					if rr.Reps < 0 || rr.Reps > k {
+						t.Fatalf("step %d: ReadRefs made %d repetitions of at most %d", step, rr.Reps, k)
+					}
 					runs++
+					if rr.Reps < k {
+						cut++
+					}
 					steady += rr.Steady
 				}
 				var sum, last sim.Cycles
-				for rep := 0; rep < k; rep++ {
+				for rep := 0; rep < rr.Reps; rep++ {
 					for i, c := range coords {
 						now += run[i].Gap
 						last = ms[0].AccessCoord(c, false, now).Latency
@@ -323,11 +352,13 @@ func FuzzRefMatchesAccess(f *testing.F) {
 						now += last
 						sum += last
 					}
-					now += tail
+					if now += tail; now >= dl {
+						t.Fatalf("step %d: repetition %d of %d ends at %d, not before the deadline %d", step, rep+1, rr.Reps, now, dl)
+					}
 				}
 				if resolved && (rr.Latency != sum || rr.Last != last) {
 					t.Fatalf("step %d: %d repetitions of the run: AccessCoord latency %d, last %d; ReadRefs %d, last %d",
-						step, k, sum, last, rr.Latency, rr.Last)
+						step, rr.Reps, sum, last, rr.Latency, rr.Last)
 				}
 			}
 			if d := state(0, checked, checkedTransient).diff(state(1, checked, checkedTransient)); d != "" {
@@ -338,6 +369,6 @@ func FuzzRefMatchesAccess(f *testing.F) {
 			}
 			checked, checkedTransient = len(ms[0].flips), len(ms[0].transient)
 		}
-		t.Logf("%d runs through refs, %d reads steady, %d flips", runs, steady, len(ms[0].flips))
+		t.Logf("%d runs through refs, %d cut short by their deadline, %d reads steady, %d flips", runs, cut, steady, len(ms[0].flips))
 	})
 }

@@ -398,24 +398,12 @@ func (m *Module) VictimUnits(bank, row int, now sim.Cycles) float64 {
 // epoch. With note set, the walk back over injected refresh skips notes
 // each skipped slot it passes in the fault stats.
 func (m *Module) lastScheduledRefresh(row int, now sim.Cycles, note bool) sim.Cycles {
-	cmds := uint64(m.cfg.Timing.RefreshCommands)
-	var bin uint64
-	if m.binShiftOK {
-		bin = uint64(row) >> m.binShift
-	} else {
-		bin = uint64(row) / m.rowsPerRefCmd
-	}
-	kNow := m.refEpoch(now)
-	if kNow < bin {
+	kLast, swept := m.sweepSlot(row, m.refEpoch(now))
+	if !swept {
 		return 0
 	}
-	var kLast uint64
-	if m.cmdMaskOK {
-		kLast = kNow - (kNow-bin)&m.cmdMask
-	} else {
-		kLast = kNow - (kNow-bin)%cmds
-	}
 	if f := m.fault; f != nil && f.cfg.RefreshSkipRate > 0 {
+		cmds := uint64(m.cfg.Timing.RefreshCommands)
 		// Walk back over skipped REF slots: a skipped sweep left the row's
 		// charge (and disturbance accumulator) untouched, so the effective
 		// last refresh is the most recent non-skipped slot.
@@ -432,6 +420,25 @@ func (m *Module) lastScheduledRefresh(row int, now sim.Cycles, note bool) sim.Cy
 	return sim.Cycles(kLast) * m.trefi
 }
 
+// sweepSlot returns the refresh epoch of the row's last sweep slot at or
+// before epoch k, injected skips aside, or, with swept false, of its first
+// slot when k precedes it.
+func (m *Module) sweepSlot(row int, k uint64) (slot uint64, swept bool) {
+	var bin uint64
+	if m.binShiftOK {
+		bin = uint64(row) >> m.binShift
+	} else {
+		bin = uint64(row) / m.rowsPerRefCmd
+	}
+	switch {
+	case k < bin:
+		return bin, false
+	case m.cmdMaskOK:
+		return k - (k-bin)&m.cmdMask, true
+	}
+	return k - (k-bin)%uint64(m.cfg.Timing.RefreshCommands), true
+}
+
 // refreshStall returns how long an access arriving at now on the given rank
 // must wait for an in-progress REF command to finish.
 func (m *Module) refreshStall(rank int, now sim.Cycles) sim.Cycles {
@@ -440,13 +447,14 @@ func (m *Module) refreshStall(rank int, now sim.Cycles) sim.Cycles {
 	}
 	t := uint64(now) + uint64(m.trefi) - uint64(m.refOffset[rank])
 	phase := sim.Cycles(t % uint64(m.trefi))
+	// The rank's last REF began at now-phase. The window from the end of its
+	// tRFC to the next REF is stall-free: memoise it so the next accesses in
+	// it skip the mod, the one that waits for this REF to finish included.
+	m.stallFreeFrom[rank] = now - phase + m.cfg.Timing.RFC
+	m.stallFreeTo[rank] = now - phase + m.trefi
 	if phase < m.cfg.Timing.RFC {
 		return m.cfg.Timing.RFC - phase
 	}
-	// phase in [RFC, tREFI): the whole stall-free remainder of this window is
-	// now known; memoise it so the next accesses in the window skip the mod.
-	m.stallFreeFrom[rank] = now - (phase - m.cfg.Timing.RFC)
-	m.stallFreeTo[rank] = now + (m.trefi - phase)
 	return 0
 }
 

@@ -9,9 +9,9 @@ import "repro/internal/sim"
 // the memory system knows a run of iterations' DRAM reads before it makes
 // them (memsys's iteration skip). A Ref resolves such a line once: its
 // coordinate, its rank and the victim records an activation of its row
-// touches. ReadRefs makes a run of reads through refs, repeated k times,
-// each read at the time the per-request path would make it, in one of two
-// ways:
+// touches. ReadRefs makes a run of reads through refs, repeated up to k
+// times, each read at the time the per-request path would make it, in one
+// of two ways:
 //
 //   - The live read runs AccessCoord's own body (access) with the Ref's
 //     records standing in for the lookups, so refresh stalls, the REF-close
@@ -47,7 +47,26 @@ import "repro/internal/sim"
 //     stretch ends, since the hooks are idle.
 //
 // Anything the steady repeat does not cover takes the live read, one read
-// at a time, after which the steady repeat is tried again.
+// at a time, after which the steady repeat is tried again. Re-entering it
+// is cheap. It costs no division or modulo per read: one division finds
+// the pass in which the stretch leaves a window. And the sweep check
+// of the disturbed records runs once per call, not once per stretch:
+// inside the call a record's last reset only moves to a time at or after
+// the check (a self reset, or a deposit's lazy one) and nothing clears its
+// threshold, so the check holds until one of the rows reaches its next
+// sweep slot. Between calls a writeback, which reaches DRAM slightly in
+// the past, can move a last reset back, and PlantWeakRow clears
+// thresholds, so the memo ends with the call.
+//
+// ReadRefs makes whole repetitions only, each ending before a deadline,
+// which memsys sets at its stop time or the next PEBS sample, and reports
+// how many. The rule is exact, with no worst case for the steady repeat: a
+// stretch knows the time of every read it covers before it applies any, so
+// a repetition it covers whole is taken exactly when it ends before the
+// deadline. A repetition read live, in whole or in part, is started only
+// when it would end before the deadline even if every read waited out a
+// whole tRFC and displaced an open row (RowConflict). The command engine's
+// latencies have no such bound, so with it ReadRefs reads nothing.
 
 // Ref is a pre-resolved reference to one DRAM line.
 type Ref struct {
@@ -92,28 +111,38 @@ type RefRead struct {
 
 // RefRun is what ReadRefs reports about the reads it made.
 type RefRun struct {
+	Reps    int        // whole repetitions made
 	Latency sim.Cycles // every read's latency, summed
 	Last    sim.Cycles // the last read's latency
 	Steady  int        // reads the steady repeat applied
 }
 
-// ReadBound bounds the latency of one read, a refresh stall included, while
-// the module's timing is fixed: no command engine. ok is false otherwise.
-func (m *Module) ReadBound() (bound sim.Cycles, ok bool) {
-	if m.engine != nil {
-		return 0, false
-	}
-	return m.cfg.Timing.RFC + m.cfg.Timing.RowConflict, true
-}
-
-// ReadRefs makes the reads of run, repeated k times from start: each read
-// Gap after the previous one completes, and each repetition after the
-// first tail after the previous repetition's last read completes. The
-// module ends exactly as k repetitions of the reads through AccessCoord
+// ReadRefs makes the reads of run, repeated up to k times from start: each
+// read Gap after the previous one completes, and each repetition after the
+// first tail after the previous repetition's last read completes. It makes
+// whole repetitions only, each ending (its tail included) before deadline,
+// and reports how many (see the top of this file for which). The module
+// ends exactly as that many repetitions of the reads through AccessCoord
 // leave it.
-func (m *Module) ReadRefs(run []RefRead, start, tail sim.Cycles, k int) RefRun {
+func (m *Module) ReadRefs(run []RefRead, start, tail sim.Cycles, k int, deadline sim.Cycles) RefRun {
 	var out RefRun
-	plain := len(run) > 0 && m.interceptor == nil && m.engine == nil
+	n := len(run)
+	if n == 0 { // each repetition is its tail
+		if out.Reps = k; deadline <= start {
+			out.Reps = 0
+		} else if tail > 0 {
+			out.Reps = int(min(uint64(k), uint64((deadline-start-1)/tail)))
+		}
+		return out
+	}
+	c := refCall{run: run, tail: tail, deadline: deadline, worst: ^sim.Cycles(0)}
+	if m.engine == nil {
+		c.worst = tail
+		for _, rd := range run {
+			c.worst += rd.Gap + m.cfg.Timing.RFC + m.cfg.Timing.RowConflict
+		}
+	}
+	plain := m.interceptor == nil && m.engine == nil
 	for _, h := range m.hooks {
 		plain = plain && h.idle != nil
 	}
@@ -121,27 +150,52 @@ func (m *Module) ReadRefs(run []RefRead, start, tail sim.Cycles, k int) RefRun {
 		m.steadyPlan(run)
 	}
 	t := start
-	// i is the next read's index in run, and left the reads still to make.
-	for i, left := 0, k*len(run); left > 0; {
+	// i is the next read's index in run, and done the repetitions made.
+	i, done := 0, 0
+	for done < k {
 		if plain {
-			if n := m.steady(run, i, &t, tail, left, &out); n > 0 {
-				left -= n
-				i = (i + n) % len(run)
+			left := k - done // repetitions not yet begun
+			if i > 0 {
+				left--
+			}
+			if x := m.steady(&c, i, &t, left, &out); x > 0 {
+				if i += x; i >= n {
+					done += i / n
+					i %= n
+				}
 				continue
 			}
+		}
+		if i == 0 && (t >= deadline || deadline-t <= c.worst) {
+			break
 		}
 		rd := &run[i]
 		t += rd.Gap
 		out.Last = m.access(rd.Ref.c, rd.Ref.rank, false, t, &rd.Ref).Latency
 		t += out.Last
 		out.Latency += out.Last
-		left--
-		if i++; i == len(run) {
+		if i++; i == n {
 			i = 0
+			done++
 			t += tail
 		}
 	}
+	out.Reps = done
 	return out
+}
+
+// refCall is what one ReadRefs call's steady stretches share.
+type refCall struct {
+	run            []RefRead
+	tail, deadline sim.Cycles
+	// worst bounds one repetition read live from its start: its gaps and
+	// tail, and tRFC plus RowConflict per read; the largest time with the
+	// command engine, whose latencies have no such bound.
+	worst sim.Cycles
+	// settledTo memoises settled for the run's activating reads: every
+	// record they disturb is settled at any time from the check up to it,
+	// 0 before the first check (see the top of this file).
+	settledTo sim.Cycles
 }
 
 // steadyRead is one read of a run as the steady repeat applies it.
@@ -191,13 +245,17 @@ func (m *Module) steadyPlan(run []RefRead) {
 	}
 }
 
-// steady applies as many of the next left reads of run, from run[i] on
-// with *t the time its Gap counts from, as the steady repeat covers (see
-// the top of this file), advancing *t and adding to out, and returns how
-// many it applied: 0 when any condition fails, with nothing changed. The
-// reads wrap to run[0] after a tail, and the last one applied may end a
-// repetition anywhere. steadyPlan has planned run.
-func (m *Module) steady(run []RefRead, i int, t *sim.Cycles, tail sim.Cycles, left int, out *RefRun) int {
+// steady applies as many of the reads of c.run from run[i] on, with *t
+// the time run[i]'s Gap counts from, as the steady repeat covers (see the
+// top of this file) and the repetition rule allows, advancing *t and adding
+// to out, and returns how many it applied: 0 when any condition fails, with
+// nothing changed. The reads wrap to run[0] after a tail. For i > 0 the
+// repetition under way is finished first; after it, or from i = 0, at most
+// left more repetitions follow, each ending before c.deadline, and the last
+// may be begun and left for the live read only if it passes the worst-case
+// check. steadyPlan has planned run.
+func (m *Module) steady(c *refCall, i int, t *sim.Cycles, left int, out *RefRun) int {
+	run := c.run
 	n := len(run)
 	sr := m.steadyBuf[:n]
 	// Every read lies in the memoised epoch, in every hook's idle window
@@ -208,10 +266,13 @@ func (m *Module) steady(run []RefRead, i int, t *sim.Cycles, tail sim.Cycles, le
 		lo, hi = max(lo, from), min(hi, to)
 	}
 	var off sim.Cycles
+	minRoom := ^sim.Cycles(0)
+	ends := *t // when the repetition under way ends, or, from i = 0, the last one
 	for x, p := 0, i; x < n; x++ {
 		rd := &run[p]
 		if x > 0 && p == 0 {
-			off += tail
+			off += c.tail
+			ends = *t + off
 		}
 		off += rd.Gap
 		when := *t + off
@@ -220,13 +281,18 @@ func (m *Module) steady(run []RefRead, i int, t *sim.Cycles, tail sim.Cycles, le
 			return 0
 		}
 		// The bank must hold the row of its last read in this order.
-		if (sr[p].next-i+n)%n <= x {
+		d := sr[p].next - i
+		if d < 0 {
+			d += n
+		}
+		if d <= x {
 			b := &m.banks[rd.Ref.c.Bank]
 			if b.openRow != rd.Ref.c.Row || b.lastAccess < m.epochStart || b.lastAccess >= m.epochEnd {
 				return 0
 			}
 		}
 		sr[p].off, sr[p].room = off, to-1-when
+		minRoom = min(minRoom, sr[p].room)
 		off += sr[p].lat
 		if p++; p == n {
 			p = 0
@@ -234,24 +300,57 @@ func (m *Module) steady(run []RefRead, i int, t *sim.Cycles, tail sim.Cycles, le
 	}
 	period := off // one pass over run from run[i] back to it
 	if i == 0 {
-		period += tail
+		period += c.tail
 	}
-	// The read x of the order fits in the first room/period+1 passes, so
-	// the first that does not is the pass after those, at x.
-	count := left
-	for x, p := 0, i; x < n; x++ {
-		if c := uint64(sr[p].room/period+1)*uint64(n) + uint64(x); c < uint64(count) {
-			count = int(c)
-		}
+	// The read x of the order fits in the first room/period+1 passes. So
+	// the stretch ends in the pass after the smallest room's, at the first
+	// read whose room that pass exceeds.
+	pass := uint64(minRoom/period) + 1
+	last := 0
+	for p := i; sr[p].room >= sim.Cycles(pass)*period; last++ {
 		if p++; p == n {
 			p = 0
 		}
 	}
+	// The stretch covers at least one pass. Its first cur reads finish the
+	// repetition under way; the rest fill whole repetitions, then rest
+	// reads of one more. Each whole repetition must end before the
+	// deadline, and the one begun must pass the worst-case check.
+	if c.deadline <= ends {
+		return 0
+	}
+	cur := 0
+	if i > 0 {
+		cur = n - i
+	}
+	whole, rest := int(pass), last-cur
+	if rest < 0 {
+		whole, rest = whole-1, rest+n
+	}
+	fit := uint64((c.deadline - ends - 1) / period)
+	if lim := min(fit, uint64(left)); uint64(whole) > lim {
+		whole, rest = int(lim), 0
+	} else if rest > 0 && (whole == left || c.deadline-ends-sim.Cycles(whole)*period <= c.worst) {
+		rest = 0
+	}
+	count := cur + whole*n + rest
+	if count == 0 {
+		return 0
+	}
 	t0 := *t + sr[i].off
-	for p := range run {
-		if r := &run[p].Ref; sr[p].activate && !(m.settled(r.below, r.c.Row-1, t0) && m.settled(r.above, r.c.Row+1, t0)) {
-			return 0
+	if t0 >= c.settledTo {
+		until := ^sim.Cycles(0)
+		for p := range run {
+			if r := &run[p].Ref; sr[p].activate {
+				below, belowTo := m.settled(r.below, r.c.Row-1, t0)
+				above, aboveTo := m.settled(r.above, r.c.Row+1, t0)
+				if !below || !above {
+					return 0
+				}
+				until = min(until, belowTo, aboveTo)
+			}
 		}
+		c.settledTo = until
 	}
 
 	bonus := m.cfg.Disturb.AlternationBonus
@@ -284,12 +383,12 @@ func (m *Module) steady(run []RefRead, i int, t *sim.Cycles, tail sim.Cycles, le
 
 	// The counters, each read's count times of application, and the bank
 	// state the last pass's reads leave.
-	passes, rest := count/n, count%n
+	passes, more := count/n, count%n
 	var acts uint64
 	var lat sim.Cycles
 	for x, p := 0, i; x < n; x++ {
 		k := passes
-		if x < rest {
+		if x < more {
 			k++
 		}
 		if sr[p].activate {
@@ -300,22 +399,35 @@ func (m *Module) steady(run []RefRead, i int, t *sim.Cycles, tail sim.Cycles, le
 			p = 0
 		}
 	}
+	// The last n reads applied: from order position more of pass passes-1
+	// on, or all of them from pass 0.
+	base, x = *t, 0
+	if passes > 0 {
+		base, x = *t+sim.Cycles(passes-1)*period, more
+	}
 	var end sim.Cycles
-	for j := max(0, count-n); j < count; j++ {
-		s := &sr[(i+j%n)%n]
-		now := *t + sim.Cycles(j/n)*period + s.off
+	for p, j := (i+x)%n, min(count, n); j > 0; j-- {
+		s := &sr[p]
+		now := base + s.off
 		b := &m.banks[s.ref.c.Bank]
 		b.openRow, b.lastAccess = s.ref.c.Row, now
 		end = now + s.lat
 		out.Last = s.lat
+		if p++; p == n {
+			p = 0
+		}
+		if x++; x == n {
+			x = 0
+			base += period
+		}
 	}
 	m.stats.Reads += uint64(count)
 	m.stats.RowHits += uint64(count) - acts
 	m.stats.RowConflicts += acts
 	m.stats.Activations += acts
 	*t = end
-	if (i+count)%n == 0 {
-		*t += tail
+	if rest == 0 {
+		*t += c.tail // the stretch ends a repetition
 	}
 	out.Latency += lat
 	out.Steady += count
@@ -366,8 +478,17 @@ func (m *Module) faultStretch(sr []steadyRead, i, count int, start, period sim.C
 }
 
 // settled reports whether the record v of row (nil outside the bank) has
-// its threshold cached and no refresh sweep pending at t. It notes no
-// skipped REF slot: faultStretch notes those of the reads steady applies.
-func (m *Module) settled(v *victim, row int, t sim.Cycles) bool {
-	return v == nil || v.thr != 0 && m.lastScheduledRefresh(row, t, false) <= v.lastReset
+// its threshold cached and no refresh sweep pending at t, and until when
+// that lasts while v's last reset only grows and its threshold stays: the
+// start of the row's next sweep slot. It notes no skipped REF slot:
+// faultStretch notes those of the reads steady applies.
+func (m *Module) settled(v *victim, row int, t sim.Cycles) (bool, sim.Cycles) {
+	if v == nil {
+		return true, ^sim.Cycles(0)
+	}
+	k, swept := m.sweepSlot(row, m.refEpoch(t))
+	if swept {
+		k += uint64(m.cfg.Timing.RefreshCommands)
+	}
+	return v.thr != 0 && m.lastScheduledRefresh(row, t, false) <= v.lastReset, sim.Cycles(k) * m.trefi
 }

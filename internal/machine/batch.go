@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math"
 	"slices"
 
 	"repro/internal/memsys"
@@ -22,12 +23,6 @@ import (
 // DefaultBatchCap is the view size requested from a BatchProgram when
 // Config.BatchCap is zero.
 const DefaultBatchCap = 256
-
-// RingIterations is how many iterations, at least, a ring-served periodic
-// program's views and its request ring span, whatever the batch cap: the
-// memory system skips runs of whole iterations inside one view, so a view
-// of a few long iterations would cut every run short.
-const RingIterations = 64
 
 // minEpochSpan is the shortest horizon gap worth planning an epoch for; a
 // tighter horizon (sibling cores in near-lockstep) runs per-op instead. Purely
@@ -56,19 +51,21 @@ type BatchProgram interface {
 
 // PeriodicProgram is optionally implemented by BatchPrograms whose stream is
 // one fixed iteration repeated: the operation at committed position p, from
-// Next or from any NextRun view, is always iter[p mod len(iter)]. While such
-// a program is the only one running, the batched core serves it from a ring
-// of the iteration's requests, translated once (ringFor), and reads of a
-// view only its length and whether it is the terminal OpDone. The ring tags
-// each request with its position in the iteration (memsys.Req.Pos), which
-// lets the cache hierarchy replay a cache state that provably repeats.
-// Per-op stepping never tags, so BatchCap=1 remains the unreplayed
-// reference.
+// Next or from any NextRun view, is always iter[p mod len(iter)], until the
+// program ends. While such a program is the only one running, the batched
+// core serves it from a ring of the iteration's requests, translated once
+// (ringFor), instead of from views, up to the horizon or the program's end.
+// The ring tags each request with its position in the iteration
+// (memsys.Req.Pos), which lets the cache hierarchy replay a cache state
+// that provably repeats. Per-op stepping never tags, so BatchCap=1 remains
+// the unreplayed reference.
 type PeriodicProgram interface {
 	BatchProgram
-	// Period reports how many operations are committed and the iteration,
-	// which must not change after Init.
-	Period() (committed uint64, iter []Op)
+	// Period reports how many operations are committed, the iteration,
+	// which must not change after Init, and how many operations are left
+	// before the terminal OpDone: the largest uint64 for a program that
+	// never ends.
+	Period() (committed uint64, iter []Op, left uint64)
 }
 
 // runCore advances c — which the caller established as the earliest active
@@ -106,28 +103,18 @@ func (m *Machine) runCore(c *Core, until sim.Cycles) error {
 		pp = nil
 	}
 	for c.Now < horizon && !c.Done && kern.gen == gen {
-		viewCap := m.batchCap
-		var committed uint64
+		var committed, left uint64
 		var iter []Op
 		if pp != nil {
-			// Views of whole iterations keep a ring-served program at an
-			// iteration boundary from one view to the next, where the
-			// memory system can skip runs of whole iterations.
-			if committed, iter = pp.Period(); len(iter) > 0 {
-				viewCap = max(viewCap-viewCap%len(iter), RingIterations*len(iter))
-			}
+			committed, iter, left = pp.Period()
 		}
-		m.current = c
-		ops := bp.NextRun(viewCap)
-		m.current = nil
 		var n int
-		if pp != nil && len(ops) > 0 && ops[0].Kind != OpDone {
-			if c.ringFor(iter) {
-				n = m.execRing(c, int(committed%uint64(len(iter))), len(ops), horizon, gen)
-			} else {
-				n = m.execView(c, ops, horizon, gen)
-			}
+		if left > 0 && c.ringFor(iter) {
+			n = m.execRing(c, int(committed%uint64(len(iter))), int(min(left, math.MaxInt)), horizon, gen)
 		} else {
+			m.current = c
+			ops := bp.NextRun(m.batchCap)
+			m.current = nil
 			n = m.execView(c, ops, horizon, gen)
 		}
 		if n == 0 {
@@ -158,20 +145,19 @@ func reqKind(k OpKind) (kind memsys.ReqKind, ok bool) {
 // ringFor makes c.ring the requests of iter in c's address space at its
 // current generation, rebuilding it when the address space has changed
 // since it was built: the iteration translated, typed and tagged with each
-// request's 1-based position, repeated as whole iterations, at least
-// RingIterations of them and at least DefaultBatchCap entries. Translation
-// is a pure function of the page map, so the ring holds exactly the
-// requests the gather in execView would build. It reports false, and
-// leaves the ring empty until the next remap, when the iteration holds an
-// operation a ring cannot carry: an OpCompute, or a VA that does not
-// translate, which execView and stepCore then report.
+// request's 1-based position, repeated as whole iterations to at least
+// DefaultBatchCap entries. Translation is a pure function of the page map,
+// so the ring holds exactly the requests the gather in execView would
+// build. It reports false, and leaves the ring empty until the next remap,
+// when the iteration holds an operation a ring cannot carry: an OpCompute,
+// or a VA that does not translate, which execView and stepCore then report.
 func (c *Core) ringFor(iter []Op) bool {
 	as := c.Proc.AS
 	if c.ringAS == as && c.ringGen == as.Gen() {
 		return len(c.ring) > 0
 	}
 	c.ringAS, c.ringGen, c.ringIter = as, as.Gen(), len(iter)
-	copies := max(RingIterations, (DefaultBatchCap+len(iter)-1)/max(len(iter), 1))
+	copies := (DefaultBatchCap + len(iter) - 1) / max(len(iter), 1)
 	c.ring = slices.Grow(c.ring[:0], copies*len(iter))
 	for j, op := range iter {
 		kind, ok := reqKind(op.Kind)
@@ -192,25 +178,24 @@ func (c *Core) ringFor(iter []Op) bool {
 	return len(c.ring) > 0
 }
 
-// execRing executes n operations of c's periodic program from c.ring,
-// starting at ring index start (the committed position in the iteration),
-// and returns how many completed. It hands memsys.AccessRun windows of the
-// ring, wrapping at its end, and stops like execView — at the horizon or on
-// a kernel-generation change — and also when the address space moves to a
-// new generation under it (a handler remapped), leaving the rest to a
-// rebuilt ring.
+// execRing executes up to n operations of c's periodic program, which has
+// n left, from c.ring, starting at ring index start (the committed position
+// in the iteration), and returns how many completed. It hands
+// memsys.AccessRun windows of the ring, wrapping at its end, each with the
+// operations left from it, so a skipped run may go past the window's end;
+// it stops like execView — at the horizon or on a kernel-generation change
+// — and also when the address space moves to a new generation under it (a
+// handler remapped), leaving the rest to a rebuilt ring.
 func (m *Machine) execRing(c *Core, start, n int, horizon sim.Cycles, gen uint64) int {
 	kern := m.Kernel
 	as := c.Proc.AS
 	done, s := 0, start
 	for done < n && c.Now < horizon && kern.gen == gen && as.Gen() == c.ringGen {
-		end := min(len(c.ring), s+n-done)
-		k := m.accessRun(c, c.ring[s:end], c.ringIter, horizon)
+		end := s + min(len(c.ring)-s, n-done)
+		k := m.accessRun(c, c.ring[s:end], c.ringIter, n-done, horizon)
 		m.ringServed += uint64(k)
 		done += k
-		if s += k; s == len(c.ring) {
-			s = 0
-		}
+		s = (s + k) % len(c.ring)
 	}
 	return done
 }
@@ -249,7 +234,7 @@ func (m *Machine) execView(c *Core, ops []Op, horizon sim.Cycles, gen uint64) in
 		if len(reqs) == 0 {
 			return i
 		}
-		k := m.accessRun(c, reqs, 0, horizon)
+		k := m.accessRun(c, reqs, 0, 0, horizon)
 		i += k
 		if k < len(reqs) {
 			return i
@@ -259,13 +244,15 @@ func (m *Machine) execView(c *Core, ops []Op, horizon sim.Cycles, gen uint64) in
 }
 
 // accessRun executes reqs on c through memsys.AccessRun up to the horizon
-// and books what ran on c, returning how many requests completed. iter is
-// the iteration length when reqs is a window of c's ring, 0 otherwise.
-func (m *Machine) accessRun(c *Core, reqs []memsys.Req, iter int, horizon sim.Cycles) int {
+// and books what ran on c, returning how many requests completed. When reqs
+// is a window of c's ring, iter is the iteration length and span the
+// operations the program has left from reqs[0]; both are 0 otherwise.
+func (m *Machine) accessRun(c *Core, reqs []memsys.Req, iter, span int, horizon sim.Cycles) int {
 	m.current = c
-	rr := m.Mem.AccessRun(reqs, iter, c.Proc.ID, c.ID, &c.Now, horizon, &m.Kernel.gen)
+	rr := m.Mem.AccessRun(reqs, iter, span, c.Proc.ID, c.ID, &c.Now, horizon, &m.Kernel.gen)
 	m.current = nil
 	m.itersSkipped += uint64(rr.Skipped)
+	m.skipRuns += uint64(rr.SkipRuns)
 	m.skippedReads += uint64(rr.SkippedReads)
 	m.steadyReads += uint64(rr.SteadyReads)
 	c.Stats.Ops += uint64(rr.Executed)

@@ -12,7 +12,7 @@ type periodicLoop struct{ loadLoop }
 
 var _ PeriodicProgram = (*periodicLoop)(nil)
 
-func (p *periodicLoop) Period() (uint64, []Op) { return p.i, p.ring[:p.lines] }
+func (p *periodicLoop) Period() (uint64, []Op, uint64) { return p.i, p.ring[:p.lines], p.n - p.i }
 
 // TestBatchedEpochSteadyStateAllocs pins the allocation-free property of the
 // epoch planner and batched inner loop: once the core's request scratch and

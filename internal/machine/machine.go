@@ -272,12 +272,11 @@ type Config struct {
 	AllocPolicy vm.AllocPolicy
 	AllocSeed   uint64
 	// BatchCap bounds how many operations a batch-capable program executes
-	// per inner-loop view (see BatchProgram), except that a ring-served
-	// periodic program's views span at least RingIterations iterations.
-	// Zero selects DefaultBatchCap; 1 disables batching entirely, forcing
-	// the per-op step path — the escape hatch for bisecting any
-	// batched-vs-per-op divergence. Results are byte-identical at every
-	// setting.
+	// per inner-loop view (see BatchProgram); a ring-served periodic program
+	// runs from its ring, without views. Zero selects DefaultBatchCap; 1
+	// disables batching entirely, forcing the per-op step path — the escape
+	// hatch for bisecting any batched-vs-per-op divergence. Results are
+	// byte-identical at every setting.
 	BatchCap int
 }
 
@@ -308,10 +307,12 @@ type Machine struct {
 	batchCap int   // resolved Config.BatchCap (<=1 means per-op stepping)
 	// ringServed counts the memory requests served from cores' rings,
 	// itersSkipped the iterations among them memsys.AccessRun skipped,
-	// skippedReads the DRAM reads of those, and steadyReads the reads among
-	// them that DRAM's steady repeat applied.
+	// skipRuns the runs it skipped them in, skippedReads the DRAM reads of
+	// those iterations, and steadyReads the reads among them that DRAM's
+	// steady repeat applied.
 	ringServed   uint64
 	itersSkipped uint64
+	skipRuns     uint64
 	skippedReads uint64
 	steadyReads  uint64
 }

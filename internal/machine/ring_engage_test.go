@@ -78,6 +78,9 @@ func TestRingEngages(t *testing.T) {
 // repeats their reads in its steady loop. Each Table 1 attack, run to its
 // first flip at seed 1, is skipped for at least 95% of its iterations, and
 // the steady repeat applies at least 90% of those iterations' DRAM reads.
+// A run goes on past the ring's end and up to its exact deadline, so the
+// skip takes at most two runs per 250 µs slice of RunUntilFlip; runs cut at
+// a worst-case bound or at the ring's end would take about 37.
 // With injected refresh skips, and under the fault matrix's flaky-refresh
 // and noisy-ecc profiles (ANVIL with 25% of REF slots skipped, or with
 // transient ECC errors under an ECC scrubber, whose hook declares when it
@@ -94,13 +97,18 @@ func TestIterationSkipEngages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, flipped, err := in.RunUntilFlip(192 * time.Millisecond); err != nil || !flipped {
+		at, flipped, err := in.RunUntilFlip(192 * time.Millisecond)
+		if err != nil || !flipped {
 			t.Fatalf("%s: RunUntilFlip = %v, %v; want a flip", k, flipped, err)
 		}
 		iters, skipped := in.Hammer.Iterations(), machine.IterationsSkipped(in.Machine)
 		steady, reads := machine.SteadyReads(in.Machine)
-		t.Logf("%s: skipped %d of %d iterations (%.1f%%); the steady repeat applied %d of their %d DRAM reads (%.1f%%)",
-			k, skipped, iters, 100*float64(skipped)/float64(iters), steady, reads, 100*float64(steady)/float64(reads))
+		runs, slices := machine.SkipRuns(in.Machine), uint64(at/(250*time.Microsecond))+1
+		t.Logf("%s: skipped %d of %d iterations (%.1f%%) in %d runs over %d slices; the steady repeat applied %d of their %d DRAM reads (%.1f%%)",
+			k, skipped, iters, 100*float64(skipped)/float64(iters), runs, slices, steady, reads, 100*float64(steady)/float64(reads))
+		if runs > 2*slices {
+			t.Errorf("%s: the skip took %d runs over %d slices of RunUntilFlip, want at most 2 per slice", k, runs, slices)
+		}
 		if skipped*20 < iters*19 {
 			t.Errorf("%s: the skip applied %d of %d iterations, want at least 95%%", k, skipped, iters)
 		}

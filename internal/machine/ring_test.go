@@ -72,7 +72,7 @@ func (p *ringProg) NextRun(max int) []Op {
 
 func (p *ringProg) Advance(n int) { p.i += uint64(n) }
 
-func (p *ringProg) Period() (uint64, []Op) { return p.i, p.iter }
+func (p *ringProg) Period() (uint64, []Op, uint64) { return p.i, p.iter, p.left() }
 
 // remap moves the buffer to new frames.
 func (p *ringProg) remap() error {
@@ -306,6 +306,10 @@ func FuzzPeriodicRingMatchesPerOp(f *testing.F) {
 	for hw := 1; hw < len(ringHardware); hw++ {
 		f.Add([]byte{3, 7, 0, 254, 0, 2, 0, 49, 0, 0, 30, 62, byte(hw)})
 	}
+	// Two hammer-like loops with a budget of 321 iterations, which a
+	// skipped run reaches: the run must stop at the program's end.
+	f.Add([]byte{0, 3, 1, 40, 254, 0, 2, 0, 3, 0, 0, 30, 63})
+	f.Add([]byte{1, 7, 1, 40, 254, 0, 2, 0, 3, 0, 0, 30, 62})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := &byteSource{b: data}
 		pages := 1 + uint64(s.next()%4)

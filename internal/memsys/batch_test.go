@@ -36,7 +36,7 @@ func TestAccessRunMatchesPerOp(t *testing.T) {
 
 	var bNow sim.Cycles = 1000
 	kgen := uint64(0)
-	rr := batched.AccessRun(reqs, 0, 3, 1, &bNow, 1<<62, &kgen)
+	rr := batched.AccessRun(reqs, 0, 0, 3, 1, &bNow, 1<<62, &kgen)
 	if rr.Executed != len(reqs) {
 		t.Fatalf("AccessRun executed %d of %d requests", rr.Executed, len(reqs))
 	}
@@ -89,7 +89,7 @@ func TestAccessRunStopsAtHorizon(t *testing.T) {
 	var now sim.Cycles
 	kgen := uint64(0)
 	// The first request always executes; a stopAt of 1 cuts right after it.
-	rr := s.AccessRun(reqs, 0, 0, 0, &now, 1, &kgen)
+	rr := s.AccessRun(reqs, 0, 0, 0, 0, &now, 1, &kgen)
 	if rr.Executed != 1 {
 		t.Errorf("expected exactly the first request, executed %d", rr.Executed)
 	}
@@ -110,9 +110,9 @@ func TestAccessRunSteadyStateAllocs(t *testing.T) {
 	}
 	var now sim.Cycles
 	kgen := uint64(0)
-	s.AccessRun(reqs, 0, 0, 0, &now, 1<<62, &kgen) // warm up: fills, victim lazy allocs
+	s.AccessRun(reqs, 0, 0, 0, 0, &now, 1<<62, &kgen) // warm up: fills, victim lazy allocs
 	allocs := testing.AllocsPerRun(1000, func() {
-		s.AccessRun(reqs, 0, 0, 0, &now, 1<<62, &kgen)
+		s.AccessRun(reqs, 0, 0, 0, 0, &now, 1<<62, &kgen)
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state AccessRun allocates %.1f times per run, want 0", allocs)

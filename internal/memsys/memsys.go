@@ -111,13 +111,16 @@ type Req struct {
 
 // RunResult aggregates what AccessRun executed.
 type RunResult struct {
-	// Executed counts requests completed (the prefix reqs[:Executed]).
+	// Executed counts requests completed: the prefix reqs[:Executed], or,
+	// after a skipped run past the end of a ring window, that many of the
+	// program's operations from reqs[0].
 	Executed int
 	// Skipped counts the whole iterations among them that the iteration
-	// skip applied (skip.go), SkippedReads their DRAM reads, and SteadyReads
-	// those among the reads that the steady repeat applied
-	// (dram.Module.ReadRefs).
+	// skip applied (skip.go), SkipRuns the runs it applied them in,
+	// SkippedReads their DRAM reads, and SteadyReads those among the reads
+	// that the steady repeat applied (dram.Module.ReadRefs).
 	Skipped      int
+	SkipRuns     int
 	SkippedReads int
 	SteadyReads  int
 	Loads        uint64
@@ -157,10 +160,13 @@ type RunResult struct {
 // (Req.Pos) go through the hierarchy's AccessAt/FlushAt, which may replay a
 // repeating cache state; DRAM and the PMU still see every access live.
 // When reqs is a window of the program's request ring, which repeats with
-// period iter from any position, iter is the length of its iteration, and
-// runs of whole iterations from a request that opens one may be applied at
-// once (skip.go); iter is 0 for any other run.
-func (s *System) AccessRun(reqs []Req, iter int, task, core int, now *sim.Cycles, stopAt sim.Cycles, kgen *uint64) RunResult {
+// period iter from any position, iter is the length of its iteration and
+// span how many operations the program has left from reqs[0], at least
+// len(reqs). Then runs of whole iterations from a request that opens one
+// may be applied at once (skip.go), past the window's end up to span, so
+// Executed may exceed len(reqs); AccessRun returns after a run that passes
+// the window's end. iter and span are 0 for any other run.
+func (s *System) AccessRun(reqs []Req, iter, span int, task, core int, now *sim.Cycles, stopAt sim.Cycles, kgen *uint64) RunResult {
 	var r RunResult
 	p := s.PMU
 	caches := s.Caches
@@ -170,7 +176,7 @@ func (s *System) AccessRun(reqs []Req, iter int, task, core int, now *sim.Cycles
 	for i := 0; i < len(reqs); i++ {
 		req := &reqs[i]
 		if req.Pos == 1 && iter > 0 && iter <= len(reqs)-i {
-			if n := s.skipRun(reqs[i:], iter, now, stopAt, &bound, &r); n > 0 {
+			if n := s.skipRun(reqs[i:], iter, span-i, now, stopAt, &bound, &r); n > 0 {
 				i += n*iter - 1
 				continue
 			}

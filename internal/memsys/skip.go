@@ -18,24 +18,28 @@ import (
 //
 //   - the cycle is whole iterations, all of them carry the same request
 //     keys (line and kind) and none writes a line back, and the window's
-//     first iteration matches those keys (one compare each): a ring window
-//     repeats with period iter, so that covers every iteration of the run;
-//   - DRAM's timing is fixed (dram.Module.ReadBound): no command engine;
+//     first iteration matches those keys (one compare each): the ring
+//     repeats with period iter, so that covers every iteration the program
+//     has left, past the window's end too;
 //   - the PMU's overflow budget covers the run's loads and stores;
-//   - even at its slowest the run ends before the stop time and before any
-//     PEBS sampler could take a sample (pmu.NextSample). An iteration takes
-//     at most its cache latency plus, per read, ReadBound: tRFC and the
-//     slowest row outcome.
+//   - each iteration ends before the stop time and before any PEBS sampler
+//     could take a sample (pmu.NextSample): dram.Module.ReadRefs makes the
+//     iterations' reads with that deadline, whole iterations only, and
+//     reports how many. It knows the end of an iteration whose reads its
+//     steady repeat applies before applying them, and holds only one that
+//     it reads live to the worst case, so a run ends within about one
+//     iteration of the deadline. With DRAM's command engine (Detailed
+//     timing) it reads nothing, and nothing is skipped.
 //
 // Then nothing the per-request path would run can act inside the run (no
 // PMU hook, no kernel handler, no stop; a DRAM activation hook acts on the
 // module only), and the skip makes exactly the per-request path's state
 // changes: DRAM makes the reads at the times the per-request path would
-// (dram.Module.ReadRefs, which repeats a cycle's reads in a tight loop
-// once their outcome is steady), the hierarchy moves its cursor as replayed
-// requests would, the PMU counts the loads, stores and LLC misses in one
-// batch, and the clock and RunResult advance by the summaries' latencies
-// plus the reads'. Anything else falls back to the per-request path.
+// (ReadRefs, which repeats a cycle's reads in a tight loop once their
+// outcome is steady), the hierarchy moves its cursor as replayed requests
+// would, the PMU counts the loads, stores and LLC misses in one batch, and
+// the clock and RunResult advance by the summaries' latencies plus the
+// reads'. Anything else falls back to the per-request path.
 //
 // The summaries are built for the whole cycle at once, keyed by the
 // hierarchy's replay generation, which moves whenever a new cycle starts
@@ -71,8 +75,7 @@ type skipper struct {
 	// them, the same in every iteration of the cycle, as are the counts.
 	keys                   []uint64
 	loads, stores, flushes uint64
-	bound                  sim.Cycles // the slowest iteration's worst-case latency
-	sums                   []iterSum  // one per iteration of the cycle
+	sums                   []iterSum // one per iteration of the cycle
 	// The cycle's totals.
 	cycLat, cycMemLat           sim.Cycles
 	cycMissLoads, cycMissStores uint64
@@ -83,11 +86,12 @@ func reqKey(pa uint64, kind ReqKind) uint64 {
 	return pa&^(cache.LineSize-1) | uint64(kind)
 }
 
-// skipRun applies whole iterations of reqs, a window of a periodic
-// program's request ring whose first request opens an iteration, while
-// every condition above holds, and returns how many it applied. bound is
-// AccessRun's overflow budget, which it spends.
-func (s *System) skipRun(reqs []Req, iter int, now *sim.Cycles, stopAt sim.Cycles, bound *uint64, r *RunResult) int {
+// skipRun applies whole iterations of a periodic program from reqs[0], a
+// request of its ring that opens an iteration, while every condition above
+// holds, and returns how many it applied. reqs holds at least one
+// iteration, and left is how many operations the program has left from
+// reqs[0]. bound is AccessRun's overflow budget, which it spends.
+func (s *System) skipRun(reqs []Req, iter, left int, now *sim.Cycles, stopAt sim.Cycles, bound *uint64, r *RunResult) int {
 	gen, pos, n, ok := s.Caches.ReplayCursor()
 	if !ok || pos%iter != 0 || n%iter != 0 {
 		return 0
@@ -104,18 +108,12 @@ func (s *System) skipRun(reqs []Req, iter int, now *sim.Cycles, stopAt sim.Cycle
 			return 0
 		}
 	}
-	m := len(reqs) / iter
+	m := left / iter
 	if per := k.loads + k.stores; per > 0 && *bound/per < uint64(m) {
 		m = int(*bound / per)
 	}
-	limit := min(stopAt, s.PMU.NextSample(k.loads > 0, k.stores > 0))
-	if limit <= *now {
-		return 0
-	}
-	if fit := uint64((limit - *now - 1) / k.bound); fit < uint64(m) {
-		m = int(fit)
-	}
-	if m == 0 {
+	deadline := min(stopAt, s.PMU.NextSample(k.loads > 0, k.stores > 0))
+	if m == 0 || deadline <= *now {
 		return 0
 	}
 
@@ -125,43 +123,57 @@ func (s *System) skipRun(reqs []Req, iter int, now *sim.Cycles, stopAt sim.Cycle
 	var memLat, dramLat, lastRead sim.Cycles
 	var missLoads, missStores uint64
 	var last *iterSum
-	reads, steady := 0, 0
+	done, reads, steady := 0, 0, 0
 	if full := m / c; full > 0 {
 		sum := &k.sums[j]
 		run, tail := sum.cyc, sum.cycTail
 		if c == 1 {
 			run, tail = sum.reads, sum.tail
 		}
-		rr := s.DRAM.ReadRefs(run, t, tail, full)
-		t += sim.Cycles(full)*k.cycLat + rr.Latency
-		memLat += sim.Cycles(full) * k.cycMemLat
+		rr := s.DRAM.ReadRefs(run, t, tail, full, deadline)
+		reps := sim.Cycles(rr.Reps)
+		t += reps*k.cycLat + rr.Latency
+		memLat += reps * k.cycMemLat
 		dramLat += rr.Latency
-		missLoads += uint64(full) * k.cycMissLoads
-		missStores += uint64(full) * k.cycMissStores
-		reads += full * len(run)
+		missLoads += uint64(rr.Reps) * k.cycMissLoads
+		missStores += uint64(rr.Reps) * k.cycMissStores
+		done = rr.Reps * c
+		reads += rr.Reps * len(run)
 		steady += rr.Steady
-		last, lastRead = &k.sums[(j+c-1)%c], rr.Last
+		if rr.Reps > 0 {
+			last, lastRead = &k.sums[(j+c-1)%c], rr.Last
+		}
 	}
-	for x := 0; x < m%c; x++ {
-		sum := &k.sums[(j+x)%c]
-		rr := s.DRAM.ReadRefs(sum.reads, t, sum.tail, 1)
+	// Then single iterations: what m leaves after whole cycles, or, when a
+	// whole cycle no longer ends before the deadline, those that do.
+	for x := 1; x < c && done < m; x++ {
+		sum := &k.sums[(j+done)%c]
+		rr := s.DRAM.ReadRefs(sum.reads, t, sum.tail, 1, deadline)
+		if rr.Reps == 0 {
+			break
+		}
 		t += sum.lat + rr.Latency
 		memLat += sum.memLat
 		dramLat += rr.Latency
 		missLoads += sum.missLoads
 		missStores += sum.missStores
+		done++
 		reads += len(sum.reads)
 		steady += rr.Steady
 		last, lastRead = sum, rr.Last
 	}
+	if done == 0 {
+		return 0
+	}
 
-	mm := uint64(m)
-	s.Caches.SkipReplayed(m * iter)
+	mm := uint64(done)
+	s.Caches.SkipReplayed(done * iter)
 	s.PMU.CountRun(mm*k.loads, mm*k.stores, missLoads, missStores)
 	*bound -= mm * (k.loads + k.stores)
 	*now = t
-	r.Executed += m * iter
-	r.Skipped += m
+	r.Executed += done * iter
+	r.Skipped += done
+	r.SkipRuns++
 	r.SkippedReads += reads
 	r.SteadyReads += steady
 	r.Loads += mm * k.loads
@@ -175,7 +187,7 @@ func (s *System) skipRun(reqs []Req, iter int, now *sim.Cycles, stopAt sim.Cycle
 		}
 		r.HadMem = true
 	}
-	return m
+	return done
 }
 
 // summarise builds the summaries of the n-op cycle of generation gen, in
@@ -183,10 +195,6 @@ func (s *System) skipRun(reqs []Req, iter int, now *sim.Cycles, stopAt sim.Cycle
 func (s *System) summarise(gen uint64, iter, n int) {
 	k := &s.skip
 	k.gen, k.iter, k.ok = gen, iter, false
-	rb, ok := s.DRAM.ReadBound()
-	if !ok {
-		return
-	}
 	c := n / iter
 	for len(k.sums) < c {
 		k.sums = append(k.sums, iterSum{})
@@ -194,13 +202,12 @@ func (s *System) summarise(gen uint64, iter, n int) {
 	k.sums = k.sums[:c]
 	k.keys = k.keys[:0]
 	k.loads, k.stores, k.flushes = 0, 0, 0
-	k.bound, k.cycLat, k.cycMemLat, k.cycMissLoads, k.cycMissStores = 1, 0, 0, 0, 0
+	k.cycLat, k.cycMemLat, k.cycMissLoads, k.cycMissStores = 0, 0, 0, 0
 	for j := range k.sums {
 		sum := &k.sums[j]
 		if !s.summariseIter(sum, j*iter, iter) {
 			return
 		}
-		k.bound = max(k.bound, sum.lat+sim.Cycles(len(sum.reads))*rb)
 		k.cycLat += sum.lat
 		k.cycMemLat += sum.memLat
 		k.cycMissLoads += sum.missLoads

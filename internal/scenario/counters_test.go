@@ -35,7 +35,7 @@ func attackRows(t *testing.T, in *Instance) []dram.Coord {
 	if !ok {
 		t.Fatalf("%s is not periodic", in.Hammer.Name())
 	}
-	_, iter := pp.Period()
+	_, iter, _ := pp.Period()
 	var rows []dram.Coord
 	for _, op := range iter {
 		pa, err := in.Machine.Cores[0].Proc.AS.Translate(op.VA)
